@@ -33,8 +33,7 @@ void run_append(benchmark::State& state, const std::string& name,
   auto writer = journal::Writer::open({.dir = dir,
                                        .segment_max_bytes = 8ull << 20,
                                        .sync = policy,
-                                       .batch_records = 64,
-                                       .sync_interval_ms = 5});
+                                       .batch_records = 64});
   if (!writer.ok()) {
     state.SkipWithError(writer.error().detail.c_str());
     return;
@@ -68,12 +67,6 @@ void BM_JournalAppend_Batch(benchmark::State& state) {
   run_append(state, "batch", journal::SyncPolicy::kEveryBatch);
 }
 BENCHMARK(BM_JournalAppend_Batch)->Unit(benchmark::kMicrosecond);
-
-/// Timed: write-through on every append, fdatasync at most every 5 ms.
-void BM_JournalAppend_Timed(benchmark::State& state) {
-  run_append(state, "timed", journal::SyncPolicy::kTimed);
-}
-BENCHMARK(BM_JournalAppend_Timed)->Unit(benchmark::kMicrosecond);
 
 // ---- pipelined commit ----
 //

@@ -7,11 +7,11 @@
 // record_i), §3.5) — so an auditor holding only the journal directory can
 // confirm that no evidence was altered, dropped or reordered.
 //
-// Object-mode journals (an `objects/` sub-journal next to the record
-// segments) are detected automatically: the auditor additionally audits the
-// object segment, rebuilds the content-addressed store from it, resolves
-// every thin record reference through the store (reporting dangling ids)
-// and prints the dedup ratio the store achieved.
+// An evidence journal keeps its payloads in an `objects/` sub-journal next
+// to the record segments; a directory without one is rejected. The auditor
+// audits the object segment as well, rebuilds the content-addressed store
+// from it, resolves every thin record reference through the store
+// (reporting dangling ids) and prints the dedup ratio the store achieved.
 //
 // Usage:
 //   nonrep_audit [--json] <journal-dir>
@@ -80,103 +80,63 @@ void append_json_string(std::ostringstream& out, const std::string& s) {
   out << '"';
 }
 
+// Early rejection: prints `error` and the REJECTED verdict, returns 1.
+int reject(const std::string& dir, bool json, const std::string& error) {
+  if (json) {
+    std::ostringstream out;
+    out << "{\"dir\": ";
+    append_json_string(out, dir);
+    out << ", \"error\": ";
+    append_json_string(out, error);
+    out << ", \"verdict\": \"REJECTED\"}";
+    std::printf("%s\n", out.str().c_str());
+  } else {
+    std::printf("  %s\n  verdict: REJECTED\n", error.c_str());
+  }
+  return 1;
+}
+
 int audit_dir(const std::string& dir, bool json = false) {
   if (!json) std::printf("== journal audit: %s ==\n", dir.c_str());
-  if (!fs::is_directory(dir)) {
-    if (json) {
-      std::ostringstream out;
-      out << "{\"dir\": ";
-      append_json_string(out, dir);
-      out << ", \"error\": \"no journal directory\", \"verdict\": \"REJECTED\"}";
-      std::printf("%s\n", out.str().c_str());
-    } else {
-      std::printf("  no journal directory at that path\n  verdict: REJECTED\n");
-    }
-    return 1;
+  if (!fs::is_directory(dir)) return reject(dir, json, "no journal directory");
+
+  // Rebuild the store from the object segment and resolve every record
+  // reference through it.
+  auto scan = store::scan_object_journal(dir);
+  if (!scan.ok()) {
+    return reject(dir, json,
+                  scan.error().code == "store.not_a_journal"
+                      ? "not an evidence journal"
+                      : "cannot scan (" + scan.error().code + ")");
   }
 
   const journal::AuditReport audit = journal::Reader::audit(dir);
   if (!json) print_segment_audit(audit);
+  if (!json) std::printf("  -- object segment (%s/objects) --\n", dir.c_str());
+  const journal::AuditReport object_audit = journal::Reader::audit(dir + "/objects");
+  if (!json) print_segment_audit(object_audit);
+  const bool objects_ok = object_audit.ok;
 
-  const bool object_mode = store::is_object_journal(dir);
-  bool objects_ok = true;
-  std::vector<store::LogRecord> records;
-  std::size_t undecodable = 0;
-  std::size_t dangling = 0;
-  std::size_t stored_objects = 0;
+  std::vector<store::LogRecord> records = std::move(scan.value().records);
+  const std::uint64_t undecodable = scan.value().undecodable;
+  const std::uint64_t dangling = scan.value().dangling_refs;
+  const std::size_t stored_objects = scan.value().store->size();
+  const std::uint64_t stored_bytes = scan.value().store->stored_bytes();
   std::uint64_t referenced_bytes = 0;
-  std::uint64_t stored_bytes = 0;
-
-  if (object_mode) {
-    // Side-loaded object segment: audit its framing, then rebuild the store
-    // and resolve every record reference through it.
-    if (!json) std::printf("  -- object segment (%s/objects) --\n", dir.c_str());
-    const journal::AuditReport object_audit = journal::Reader::audit(dir + "/objects");
-    if (!json) print_segment_audit(object_audit);
-    objects_ok = object_audit.ok;
-
-    auto scan = store::scan_object_journal(dir);
-    if (!scan.ok()) {
-      if (json) {
-        std::ostringstream out;
-        out << "{\"dir\": ";
-        append_json_string(out, dir);
-        out << ", \"error\": ";
-        append_json_string(out, "objects: cannot scan (" + scan.error().code + ")");
-        out << ", \"verdict\": \"REJECTED\"}";
-        std::printf("%s\n", out.str().c_str());
-      } else {
-        std::printf("  objects: cannot scan (%s)\n  verdict: REJECTED\n",
-                    scan.error().code.c_str());
-      }
-      return 1;
-    }
-    records = std::move(scan.value().records);
-    undecodable = scan.value().undecodable;
-    dangling = scan.value().dangling_refs;
-    stored_objects = scan.value().store->size();
-    stored_bytes = scan.value().store->stored_bytes();
-    for (const auto& rec : records) referenced_bytes += rec.payload.size();
-    if (!json) {
-      std::printf("  objects: %zu stored (%llu bytes) covering %llu referenced bytes "
-                  "(dedup %.1fx)%s\n",
-                  stored_objects,
-                  static_cast<unsigned long long>(stored_bytes),
-                  static_cast<unsigned long long>(referenced_bytes),
-                  stored_bytes ? static_cast<double>(referenced_bytes) /
-                                     static_cast<double>(stored_bytes)
-                               : 1.0,
-                  dangling ? ", DANGLING REFERENCES!" : "");
-    }
-  } else {
-    auto recovered = journal::Reader::recover(dir, journal::RecoverMode::kScanOnly);
-    if (!recovered.ok()) {
-      if (json) {
-        std::ostringstream out;
-        out << "{\"dir\": ";
-        append_json_string(out, dir);
-        out << ", \"error\": ";
-        append_json_string(out, "chain: cannot scan (" + recovered.error().code + ")");
-        out << ", \"verdict\": \"REJECTED\"}";
-        std::printf("%s\n", out.str().c_str());
-      } else {
-        std::printf("  chain: cannot scan (%s)\n", recovered.error().code.c_str());
-      }
-      return 1;
-    }
-    for (const auto& rec : recovered.value().records) {
-      auto decoded = store::decode_log_record(rec.payload);
-      if (decoded.ok()) {
-        records.push_back(std::move(decoded).take());
-      } else {
-        ++undecodable;
-      }
-    }
+  for (const auto& rec : records) referenced_bytes += rec.payload.size();
+  const double dedup = stored_bytes ? static_cast<double>(referenced_bytes) /
+                                          static_cast<double>(stored_bytes)
+                                    : 1.0;
+  if (!json) {
+    std::printf("  objects: %zu stored (%llu bytes) covering %llu referenced bytes "
+                "(dedup %.1fx)%s\n",
+                stored_objects, static_cast<unsigned long long>(stored_bytes),
+                static_cast<unsigned long long>(referenced_bytes), dedup,
+                dangling ? ", DANGLING REFERENCES!" : "");
   }
 
-  // Evidence-chain pass: verify the hash chain over the decoded (and, in
-  // object mode, store-resolved) records exactly as a dispute adjudicator
-  // would.
+  // Evidence-chain pass: verify the hash chain over the store-resolved
+  // records exactly as a dispute adjudicator would.
   store::EvidenceLog log(std::make_unique<store::MemoryLogBackend>(std::move(records)),
                          std::make_shared<SimClock>(0));
   const Status chain = log.verify_chain();
@@ -196,17 +156,11 @@ int audit_dir(const std::string& dir, bool json = false) {
         << ", \"segments\": " << audit.segments.size()
         << ", \"records\": " << audit.total_records
         << ", \"problems\": " << audit.problems.size() << "}";
-    out << ",\n  \"object_mode\": " << (object_mode ? "true" : "false");
-    if (object_mode) {
-      const double dedup = stored_bytes ? static_cast<double>(referenced_bytes) /
-                                              static_cast<double>(stored_bytes)
-                                        : 1.0;
-      out << ",\n  \"objects\": {\"ok\": " << (objects_ok ? "true" : "false")
-          << ", \"stored\": " << stored_objects
-          << ", \"stored_bytes\": " << stored_bytes
-          << ", \"referenced_bytes\": " << referenced_bytes
-          << ", \"dedup_ratio\": " << dedup << "}";
-    }
+    out << ",\n  \"objects\": {\"ok\": " << (objects_ok ? "true" : "false")
+        << ", \"stored\": " << stored_objects
+        << ", \"stored_bytes\": " << stored_bytes
+        << ", \"referenced_bytes\": " << referenced_bytes
+        << ", \"dedup_ratio\": " << dedup << "}";
     out << ",\n  \"resolve\": {\"dangling_refs\": " << dangling
         << ", \"undecodable\": " << undecodable << "}";
     out << ",\n  \"chain\": {\"ok\": " << (chain.ok() ? "true" : "false");
@@ -227,9 +181,9 @@ int audit_dir(const std::string& dir, bool json = false) {
 int demo() {
   const std::string dir = (fs::temp_directory_path() / "nonrep_audit_demo").string();
   fs::remove_all(dir);
-  std::printf("demo journal at %s (object mode)\n\n", dir.c_str());
+  std::printf("demo journal at %s\n\n", dir.c_str());
 
-  // A party logs evidence through the object-mode journal backend; rotation
+  // A party logs evidence through the journal backend; rotation
   // is forced small so several sealed segments exist. Eight distinct
   // payloads recur across 40 records, so the object segment demonstrates
   // dedup as well.

@@ -116,9 +116,9 @@ class DurableFuture {
 /// What append_async() returns: the record's journal sequence, its LSN in
 /// the writer's append order, and the future that settles when it is on the
 /// device. `policy_blocks` tells a compatibility caller whether the classic
-/// blocking append() would have waited here (kEveryRecord) — batched and
-/// timed policies never waited per record, and waiting on them without a
-/// barrier in flight would stall until some later append triggers one.
+/// blocking append() would have waited here (kEveryRecord) — the batched
+/// policy never waited per record, and waiting on it without a barrier in
+/// flight would stall until some later append triggers one.
 struct AppendTicket {
   std::uint64_t sequence = 0;
   std::uint64_t lsn = 0;

@@ -121,7 +121,6 @@ Result<std::unique_ptr<Writer>> Writer::resume(Options options,
   w->stage_ = std::make_unique<SyncStage>(w->state_, std::move(stage_opt));
 
   w->next_seq_ = report.next_sequence;
-  w->last_barrier_request_ = std::chrono::steady_clock::now();
   if (report.tail_path.has_value()) {
     // Continue the unsealed final segment in place.
     const int fd = ::open(report.tail_path->c_str(), O_WRONLY | O_APPEND);
@@ -177,7 +176,6 @@ Status Writer::flush_locked() {
 void Writer::request_barrier_locked() {
   if (written_lsn_ <= requested_lsn_) return;  // a queued barrier covers it
   requested_lsn_ = written_lsn_;
-  last_barrier_request_ = std::chrono::steady_clock::now();
   stage_->request(fd_, written_lsn_, active_bytes_);
 }
 
@@ -308,14 +306,6 @@ Result<AppendTicket> Writer::append_async(BytesView payload) {
       if (pending_records_ >= opt_.batch_records) {
         staged = flush_locked();
         if (staged.ok()) request_barrier_locked();
-      }
-      break;
-    case SyncPolicy::kTimed:
-      staged = flush_locked();
-      if (staged.ok() &&
-          std::chrono::steady_clock::now() - last_barrier_request_ >=
-              std::chrono::milliseconds(opt_.sync_interval_ms)) {
-        request_barrier_locked();
       }
       break;
   }

@@ -28,9 +28,6 @@
 //                 max_batches_in_flight in-flight batches plus the unflushed
 //                 tail — the price of the pipeline; callers needing a bound
 //                 use the ticket or sync().
-//   kTimed        records are written through to the OS on every append
-//                 (visible to a scan if only the process dies) and a barrier
-//                 is queued at most every sync_interval_ms. Never waits.
 //
 // Backpressure replaces the old head-of-line stall: once
 // max_batches_in_flight barriers are queued or executing, the next trigger
@@ -47,7 +44,6 @@
 // the same way; only a crash leaves an unsealed tail for recovery.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -67,7 +63,6 @@ class SyncStage;        // sync_stage.hpp
 enum class SyncPolicy : std::uint8_t {
   kEveryRecord = 0,
   kEveryBatch = 1,
-  kTimed = 2,
 };
 
 /// Which engine retires device barriers. kAuto probes io_uring at open and
@@ -87,12 +82,10 @@ struct Options {
   SyncPolicy sync = SyncPolicy::kEveryBatch;
   /// kEveryBatch: appends per barrier.
   std::size_t batch_records = 64;
-  /// kTimed: maximum age of un-synced data, in wall milliseconds.
-  std::uint32_t sync_interval_ms = 50;
   /// Invoked on the sync-stage worker immediately before every device
   /// barrier this writer issues (group commit, explicit sync(), seal,
   /// rotation, close) — a per-batch pipeline stage. Lets a caller order
-  /// durability across journals: the object-mode record journal points this
+  /// durability across journals: the evidence record journal points this
   /// at the object journal's sync(), so no record frame ever becomes durable
   /// ahead of the object frame it references, however many batches are in
   /// flight. A failure aborts the barrier (and sticks, like any sync
@@ -132,7 +125,7 @@ class Writer {
   Result<AppendTicket> append_async(BytesView payload);
 
   /// Compatibility append: append_async plus the policy's classic blocking
-  /// behavior (kEveryRecord waits for durability; kEveryBatch/kTimed return
+  /// behavior (kEveryRecord waits for durability; kEveryBatch returns
   /// as soon as the record is staged). Returns the sequence number.
   Result<std::uint64_t> append(BytesView payload);
 
@@ -211,7 +204,6 @@ class Writer {
   std::uint64_t requested_lsn_ NONREP_GUARDED_BY(mu_) = 0;  // highest lsn a queued barrier covers
   bool sealing_ NONREP_GUARDED_BY(mu_) = false;  // checkpoint/rotation in flight; appends wait
   bool closed_ NONREP_GUARDED_BY(mu_) = false;
-  std::chrono::steady_clock::time_point last_barrier_request_ NONREP_GUARDED_BY(mu_){};
   Status io_error_ NONREP_GUARDED_BY(mu_);  // first unrecovered append-path I/O failure, sticky
   Stats stats_ NONREP_GUARDED_BY(mu_);
 };

@@ -57,7 +57,7 @@ ScenarioEngine::ScenarioEngine(ScenarioConfig config)
     : config_(std::move(config)), world_(config_.seed, config_.rsa_bits) {
   auto backend_for = [&](const std::string& name) -> std::unique_ptr<store::LogBackend> {
     if (!config_.journal_backed) return nullptr;  // in-memory default
-    // Object mode against the world's fleet-wide store: each party journals
+    // Against the world's fleet-wide store: each party journals
     // thin records plus its own object segment, deduped per journal.
     auto opened = store::JournalLogBackend::open(
         {.dir = config_.journal_dir + "/" + name}, world_.objects());

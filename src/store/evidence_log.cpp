@@ -1,9 +1,6 @@
 #include "store/evidence_log.hpp"
 
-#include <fstream>
-
 #include "obs/trace.hpp"
-#include "util/hex.hpp"
 #include "util/serialize.hpp"
 
 namespace nonrep::store {
@@ -35,12 +32,7 @@ Bytes encode_log_record(const LogRecord& r) {
 
 namespace {
 
-// Tag byte that opens the thin encoding. A fat record opens with the
-// little-endian u32 length prefix of its canonical bytes, whose *low* byte
-// can equally be 0x52 (any canonical length ≡ 0x52 mod 256), so the tag is
-// a fast hint, not a discriminator. A reader that can see both forms — an
-// object-mode open of a legacy journal — must fall back to the fat decode
-// when the thin decode fails rather than drop the frame.
+// Tag byte that opens the thin encoding.
 constexpr std::uint8_t kThinRecordTag = 0x52;  // 'R'
 
 Status decode_canonical_head(BinaryReader& r, LogRecord& rec) {
@@ -108,10 +100,6 @@ Result<ThinLogRecord> decode_log_record_ref(BytesView b) {
   return out;
 }
 
-bool is_log_record_ref(BytesView b) {
-  return !b.empty() && b[0] == kThinRecordTag;
-}
-
 Result<LogRecord> decode_log_record(BytesView b) {
   BinaryReader outer(b);
   auto canonical = outer.bytes();
@@ -133,35 +121,13 @@ Result<LogRecord> decode_log_record(BytesView b) {
   return rec;
 }
 
-Status FileLogBackend::append(const LogRecord& record) {
-  std::ofstream out(path_, std::ios::app);
-  out << to_hex(encode_log_record(record)) << '\n';
-  out.flush();
-  if (!out) return Error::make("log.io", "append failed on " + path_);
-  return Status::ok_status();
-}
-
-std::vector<LogRecord> FileLogBackend::load() {
-  std::vector<LogRecord> out;
-  std::ifstream in(path_);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    auto bytes = from_hex(line);
-    if (!bytes) continue;  // skip corrupt lines; verify_chain flags the gap
-    auto rec = decode_log_record(*bytes);
-    if (rec) out.push_back(rec.value());
-  }
-  return out;
-}
-
 EvidenceLog::EvidenceLog(std::unique_ptr<LogBackend> backend, std::shared_ptr<Clock> clock,
                          std::shared_ptr<ObjectStore> objects)
     : backend_(std::move(backend)), clock_(std::move(clock)), objects_(std::move(objects)) {
   records_ = backend_->load();
   for (auto& r : records_) {
     payload_bytes_ += r.payload.size();
-    // A backend that loaded through a store (the object-mode journal) hands
+    // A backend that loaded through a store (the journal backend) hands
     // records back already interned; anything else is interned here.
     if (objects_ && !r.interned) {
       r.object = objects_->put(typesig_for_kind(r.kind), r.payload).id;
@@ -207,7 +173,7 @@ std::pair<LogRecord, AppendReceipt> EvidenceLog::append_async(const RunId& run,
 }
 
 Status EvidenceLog::settle(const AppendReceipt& receipt) {
-  // A batched/timed receipt may have no covering barrier in flight yet —
+  // A batched receipt may have no covering barrier in flight yet —
   // and a rotation re-phases batch boundaries, so even a full batch of
   // appends is no guarantee. Force one so settle() is self-sufficient
   // instead of stalling until later append traffic triggers the batch.

@@ -55,9 +55,8 @@ struct AppendReceipt {
   bool policy_blocks = false;
 };
 
-/// Storage backend; MemoryBackend for tests/sim, FileBackend for legacy
-/// files, JournalLogBackend (store/journal_backend.hpp) for durable
-/// deployments. append() reports persistence failures so the caller can
+/// Storage backend; MemoryLogBackend for tests/sim, JournalLogBackend
+/// (store/journal_backend.hpp) for durable deployments. append() reports persistence failures so the caller can
 /// stop treating the record as evidence; append_async() defers the
 /// durability half of that report into the receipt's future so callers can
 /// overlap verification or protocol work with the device barrier.
@@ -81,8 +80,8 @@ class LogBackend {
   /// append_async returned. Ok for backends without deferred durability.
   virtual Status health() const { return Status::ok_status(); }
 
-  /// Force staged-but-unbarriered records onto the device and wait. Batched
-  /// and timed journal policies only queue barriers when traffic triggers
+  /// Force staged-but-unbarriered records onto the device and wait. The
+  /// batched journal policy only queues barriers when traffic triggers
   /// them, so a receipt holder that needs durability *now* syncs first.
   /// Synchronous backends have nothing staged: default ok.
   virtual Status sync() { return Status::ok_status(); }
@@ -103,19 +102,6 @@ class MemoryLogBackend final : public LogBackend {
 
  private:
   std::vector<LogRecord> records_;
-};
-
-/// One line per record: hex(encoded record). Survives process restarts.
-/// Legacy format — no checksums, no batching; superseded by the journal
-/// backend, kept for old deployments and as the migration source.
-class FileLogBackend final : public LogBackend {
- public:
-  explicit FileLogBackend(std::string path) : path_(std::move(path)) {}
-  Status append(const LogRecord& record) override;
-  std::vector<LogRecord> load() override;
-
- private:
-  std::string path_;
 };
 
 /// Thread-safe for interleaved append/find: a party may issue evidence
@@ -183,9 +169,9 @@ class EvidenceLog {
 /// Chain digest helper (exposed for tests).
 crypto::Digest chain_digest(const crypto::Digest& prev, const LogRecord& record);
 
-/// Canonical wire form of a whole record, chain digest included — the byte
-/// string both file and journal backends persist (exposed for the journal
-/// backend, migration and the audit tool).
+/// Canonical wire form of a whole record, chain digest included: the one
+/// byte encoding of a record, payload inline (what decorators and traces
+/// compare). The journal persists the thin form below instead.
 Bytes encode_log_record(const LogRecord& record);
 Result<LogRecord> decode_log_record(BytesView b);
 
@@ -196,7 +182,7 @@ std::uint32_t typesig_for_kind(std::string_view kind);
 
 /// Thin (reference) wire form: the canonical head of the record plus the
 /// payload's object id and size instead of the payload bytes. This is what
-/// the object-mode journal persists — the payload itself lives once in the
+/// the journal persists — the payload itself lives once in the
 /// side-loaded object segment, however many records reference it.
 ///
 ///   +------+-----+------+-----+------+-----------+--------------+-------+
@@ -210,11 +196,5 @@ struct ThinLogRecord {
 /// The record must be interned (carry its object id).
 Bytes encode_log_record_ref(const LogRecord& record);
 Result<ThinLogRecord> decode_log_record_ref(BytesView b);
-
-/// Cheap probe: does this buffer start with the thin-record tag? A hint
-/// only — a fat record whose canonical length ≡ 0x52 mod 256 starts with
-/// the same byte (little-endian length prefix), so a positive probe must
-/// be confirmed by decode_log_record_ref succeeding.
-bool is_log_record_ref(BytesView b);
 
 }  // namespace nonrep::store

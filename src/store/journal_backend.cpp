@@ -46,54 +46,34 @@ struct DanglingShape {
   bool suffix = true;  // nothing resolved/undecodable after the first dangler
 };
 
-// Resolve recovered record frames against the store. Thin records fetch
-// their payload by object id; fat records (a legacy journal opened in
-// object mode) are interned so the store covers them too.
-std::vector<LogRecord> resolve_records(
-    const journal::RecoveryReport& report, ObjectStore& store,
-    std::unordered_set<ObjectId, crypto::DigestHash>* persisted,
-    ResolveStats& stats, DanglingShape* shape = nullptr) {
+// Resolve recovered thin record frames against the store: each fetches its
+// payload by object id. A frame that passes CRC but is not a thin record is
+// undecodable — there is no other record format to fall back to.
+std::vector<LogRecord> resolve_records(const journal::RecoveryReport& report,
+                                       const ObjectStore& store, ResolveStats& stats,
+                                       DanglingShape* shape = nullptr) {
   std::vector<LogRecord> out;
   out.reserve(report.records.size());
   for (const auto& frame : report.records) {
-    // The thin tag byte (0x52) is also a valid low byte of a legacy fat
-    // record's little-endian length prefix (canonical length ≡ 0x52 mod
-    // 256, ~1 frame in 256), so the probe only selects which decode to
-    // *try first* — a failed thin decode falls through to the fat decode
-    // instead of dropping the frame.
-    if (is_log_record_ref(frame.payload)) {
-      auto thin = decode_log_record_ref(frame.payload);
-      if (thin) {
-        LogRecord rec = std::move(thin.value().record);
-        auto payload = store.get(rec.object, typesig_for_kind(rec.kind));
-        if (!payload || payload.value().size() != thin.value().payload_size) {
-          // A record without its object: either the torn-async-crash suffix
-          // (the open truncates it away, see DanglingShape) or real
-          // object-segment damage — durability is ordered, the object
-          // journal is synced ahead of every record-journal barrier. Count
-          // and skip; verify_chain reports any resulting gap.
-          ++stats.dangling_refs;
-          if (shape && !shape->first_sequence) {
-            shape->first_sequence = frame.sequence;
-          }
-          continue;
-        }
-        rec.payload = std::move(payload).take();
-        if (shape && shape->first_sequence) shape->suffix = false;
-        out.push_back(std::move(rec));
-        continue;
-      }
-    }
-    auto decoded = decode_log_record(frame.payload);
-    if (!decoded) {
+    auto thin = decode_log_record_ref(frame.payload);
+    if (!thin) {
       ++stats.undecodable;
       if (shape && shape->first_sequence) shape->suffix = false;
       continue;
     }
-    LogRecord rec = std::move(decoded).take();
-    rec.object = store.put(typesig_for_kind(rec.kind), rec.payload).id;
-    rec.interned = true;
-    if (persisted) persisted->insert(rec.object);
+    LogRecord rec = std::move(thin.value().record);
+    auto payload = store.get(rec.object, typesig_for_kind(rec.kind));
+    if (!payload || payload.value().size() != thin.value().payload_size) {
+      // A record without its object: either the torn-async-crash suffix
+      // (the open truncates it away, see DanglingShape) or real
+      // object-segment damage — durability is ordered, the object journal
+      // is synced ahead of every record-journal barrier. Count and skip;
+      // verify_chain reports any resulting gap.
+      ++stats.dangling_refs;
+      if (shape && !shape->first_sequence) shape->first_sequence = frame.sequence;
+      continue;
+    }
+    rec.payload = std::move(payload).take();
     if (shape && shape->first_sequence) shape->suffix = false;
     out.push_back(std::move(rec));
   }
@@ -150,29 +130,9 @@ Status truncate_torn_async_tail(journal::RecoveryReport& report,
 
 }  // namespace
 
-bool is_object_journal(const std::string& dir) {
-  std::error_code ec;
-  return fs::is_directory(objects_dir(dir), ec);
-}
-
-Result<std::unique_ptr<JournalLogBackend>> JournalLogBackend::open(
-    journal::Options options) {
-  std::error_code ec;
-  fs::create_directories(options.dir, ec);
-  if (ec) {
-    return Error::make("journal.io", "cannot create " + options.dir + ": " + ec.message());
-  }
-  auto recovered = journal::Reader::recover(options.dir, journal::RecoverMode::kRepair);
-  if (!recovered) return recovered.error();
-  auto writer = journal::Writer::resume(options, recovered.value());
-  if (!writer) return writer.error();
-  return std::unique_ptr<JournalLogBackend>(new JournalLogBackend(
-      std::move(writer).take(), std::move(recovered).take()));
-}
-
 Result<std::unique_ptr<JournalLogBackend>> JournalLogBackend::open(
     journal::Options options, std::shared_ptr<ObjectStore> store) {
-  if (!store) return Error::make("store.null_store", "object mode needs a store");
+  if (!store) return Error::make("store.null_store", "the journal needs an object store");
   // The object journal comes up first: the record journal's every device
   // barrier is coupled to it via before_sync (the two writers group-commit
   // independently, so append order alone cannot keep a thin record from
@@ -215,7 +175,7 @@ Result<std::unique_ptr<JournalLogBackend>> JournalLogBackend::open(
   std::unordered_set<ObjectId, crypto::DigestHash> persisted;
   rebuild_store(object_recovery, *store, persisted, stats);
   DanglingShape shape;
-  auto resolved = resolve_records(recovery, *store, &persisted, stats, &shape);
+  auto resolved = resolve_records(recovery, *store, stats, &shape);
   if (stats.dangling_refs > 0 && shape.suffix && shape.first_sequence &&
       recovery.tail_path.has_value() &&
       *shape.first_sequence >= recovery.tail_first_sequence) {
@@ -229,14 +189,15 @@ Result<std::unique_ptr<JournalLogBackend>> JournalLogBackend::open(
 
   auto writer = journal::Writer::resume(record_options, recovery);
   if (!writer) return writer.error();
-  std::unique_ptr<JournalLogBackend> b(
-      new JournalLogBackend(std::move(writer).take(), std::move(recovery)));
+  std::unique_ptr<JournalLogBackend> b(new JournalLogBackend());
   b->store_ = std::move(store);
   b->object_writer_ = std::move(object_writer).take();
   b->object_recovery_ = std::move(object_recovery);
   b->persisted_ = std::move(persisted);
   b->resolved_ = std::move(resolved);
   b->resolve_stats_ = stats;
+  b->writer_ = std::move(writer).take();
+  b->recovery_ = std::move(recovery);
   return b;
 }
 
@@ -259,18 +220,11 @@ Result<AppendReceipt> JournalLogBackend::append_async(const LogRecord& record) {
                        "journal would assign " + std::to_string(next) +
                            ", record carries " + std::to_string(record.sequence));
   }
-  if (!store_) {
-    auto ticket = writer_->append_async(encode_log_record(record));
-    if (!ticket) return ticket.error();
-    return AppendReceipt{std::move(ticket.value().durable),
-                         ticket.value().policy_blocks};
-  }
-
-  // Object mode. EvidenceLog interns before it calls us, so an uninterned
-  // record means a caller bypassed the log — reject rather than guess.
+  // EvidenceLog interns before it calls us, so an uninterned record means a
+  // caller bypassed the log — reject rather than guess.
   if (!record.interned) {
     return Error::make("journal.not_interned",
-                       "object-mode journal got a record without an object id");
+                       "journal got a record without an object id");
   }
   // Object frame first — and durability follows the same order: the record
   // writer's barriers sync the object journal before their own fdatasync
@@ -295,24 +249,11 @@ Result<AppendReceipt> JournalLogBackend::append_async(const LogRecord& record) {
 }
 
 Status JournalLogBackend::health() const {
-  if (object_writer_) {
-    if (auto s = object_writer_->health(); !s.ok()) return s;
-  }
+  if (auto s = object_writer_->health(); !s.ok()) return s;
   return writer_->health();
 }
 
-std::vector<LogRecord> JournalLogBackend::load() {
-  if (store_) return resolved_;
-  std::vector<LogRecord> out;
-  out.reserve(recovery_.records.size());
-  for (const auto& rec : recovery_.records) {
-    auto decoded = decode_log_record(rec.payload);
-    if (decoded) out.push_back(std::move(decoded).take());
-    // An undecodable payload survives in the journal (its CRC was fine) but
-    // cannot enter the evidence log; verify_chain reports the gap.
-  }
-  return out;
-}
+std::vector<LogRecord> JournalLogBackend::load() { return resolved_; }
 
 Status JournalLogBackend::sync() {
   // The record writer's own barrier already pulls the object journal down
@@ -320,13 +261,15 @@ Status JournalLogBackend::sync() {
   // the hook cannot see — an object frame whose record append then failed,
   // leaving the record journal with nothing to sync. Redundant calls are
   // cheap: a writer with no unsynced records skips the device barrier.
-  if (object_writer_) {
-    if (auto s = object_writer_->sync(); !s.ok()) return s;
-  }
+  if (auto s = object_writer_->sync(); !s.ok()) return s;
   return writer_->sync();
 }
 
 Result<ObjectJournalScan> scan_object_journal(const std::string& dir) {
+  std::error_code ec;
+  if (!fs::is_directory(objects_dir(dir), ec)) {
+    return Error::make("store.not_a_journal", "no objects/ sub-journal in " + dir);
+  }
   ObjectJournalScan out;
   auto record_report = journal::Reader::recover(dir, journal::RecoverMode::kScanOnly);
   if (!record_report) return record_report.error();
@@ -340,68 +283,10 @@ Result<ObjectJournalScan> scan_object_journal(const std::string& dir) {
   ResolveStats stats;
   std::unordered_set<ObjectId, crypto::DigestHash> persisted;
   rebuild_store(out.object_report, *out.store, persisted, stats);
-  out.records = resolve_records(out.record_report, *out.store, nullptr, stats);
+  out.records = resolve_records(out.record_report, *out.store, stats);
   out.dangling_refs = stats.dangling_refs;
   out.undecodable = stats.undecodable;
   return out;
-}
-
-Result<std::uint64_t> migrate_file_log(const std::string& legacy_path,
-                                       journal::Options options) {
-  std::error_code ec;
-  if (!fs::is_regular_file(legacy_path, ec)) {
-    return Error::make("log.migrate_missing", "no legacy log at " + legacy_path);
-  }
-  if (fs::exists(options.dir, ec)) {
-    auto existing = journal::Segment::list(options.dir);
-    if (existing && !existing.value().empty()) {
-      return Error::make("log.migrate_exists",
-                         "journal at " + options.dir + " already has segments");
-    }
-  }
-
-  FileLogBackend legacy(legacy_path);
-  const std::vector<LogRecord> records = legacy.load();
-
-  // Build the journal in a staging directory so a mid-migration failure
-  // (disk full, crash) leaves options.dir untouched and the migration
-  // safely re-runnable; stale staging from a previous failed run is wiped.
-  const std::string staging = options.dir + ".migrating";
-  fs::remove_all(staging, ec);
-  journal::Options staged_options = options;
-  staged_options.dir = staging;
-  {
-    auto writer = journal::Writer::open(staged_options);
-    if (!writer) return writer.error();
-    for (const auto& rec : records) {
-      auto seq = writer.value()->append(encode_log_record(rec));
-      if (!seq) return seq.error();
-    }
-    auto closed = writer.value()->close();
-    if (!closed.ok()) return closed.error();
-  }
-
-  if (!fs::exists(options.dir, ec)) {
-    fs::rename(staging, options.dir, ec);
-    if (ec) return Error::make("journal.io", "cannot publish journal: " + ec.message());
-  } else {
-    // Destination directory exists (verified segment-free above): move the
-    // sealed segments in, lowest sequence first.
-    auto segs = journal::Segment::list(staging);
-    if (!segs) return segs.error();
-    for (const auto& seg : segs.value()) {
-      fs::rename(seg, fs::path(options.dir) / fs::path(seg).filename(), ec);
-      if (ec) return Error::make("journal.io", "cannot publish segment: " + ec.message());
-    }
-    fs::remove_all(staging, ec);
-  }
-
-  fs::rename(legacy_path, legacy_path + ".migrated", ec);
-  if (ec) {
-    return Error::make("journal.io",
-                       "migrated, but cannot rename legacy file: " + ec.message());
-  }
-  return static_cast<std::uint64_t>(records.size());
 }
 
 }  // namespace nonrep::store

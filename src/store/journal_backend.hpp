@@ -1,16 +1,18 @@
-// Journal-backed evidence persistence (§3.5, assumption 3) — the durable
-// replacement for the legacy one-hex-line-per-record FileLogBackend.
+// Journal-backed evidence persistence (§3.5, assumption 3): the one
+// persistent evidence store.
 //
 // Records keep their hash-chaining semantics (EvidenceLog computes chain
-// digests exactly as before); this backend persists the canonical record
-// bytes inside the segmented write-ahead journal, gaining CRC-checked
-// framing, group commit, segment rotation with Merkle checkpoints, and
-// crash recovery that truncates torn tails and resumes sequence numbering.
+// digests; the backend only stores them) inside the segmented write-ahead
+// journal: CRC-checked framing, group commit, segment rotation with Merkle
+// checkpoints, and crash recovery that truncates torn tails and resumes
+// sequence numbering.
 //
-// Object mode (open with an ObjectStore): record frames carry object ids
-// instead of payload bytes (the thin encoding in evidence_log.hpp), and
-// payloads are persisted once each in a side-loaded object journal at
-// `<dir>/objects` — its own writer, its own sequence space, same framing.
+// One record format: record frames carry object ids instead of payload
+// bytes (the thin encoding in evidence_log.hpp), and payloads are persisted
+// once each in a side-loaded object journal at `<dir>/objects` — its own
+// writer, its own sequence space, same framing. A directory without that
+// sub-journal is not an evidence journal; a CRC-valid record frame that is
+// not a thin record counts as undecodable.
 // An object frame is always written before the first record that references
 // it, and — because the two journals have independent group-commit state,
 // so append order alone proves nothing about what survives a crash — the
@@ -30,7 +32,7 @@
 namespace nonrep::store {
 
 /// Outcome of resolving recovered record frames against the object store
-/// (object-mode open and scan_object_journal). Non-zero counts mean records
+/// (open and scan_object_journal). Non-zero counts mean records
 /// were dropped; verify_chain on the loaded log reports the resulting gap.
 struct ResolveStats {
   std::uint64_t dangling_refs = 0;  // thin records whose object is missing
@@ -46,19 +48,16 @@ struct ResolveStats {
 
 class JournalLogBackend final : public LogBackend {
  public:
-  /// Opens the journal at options.dir, running crash recovery (repair mode:
-  /// torn tails are truncated) before the writer resumes.
-  static Result<std::unique_ptr<JournalLogBackend>> open(journal::Options options);
-
-  /// Object-mode open: payloads are interned into `store` (shared with the
-  /// evidence log, possibly fleet-wide) and journalled once each under
-  /// `<dir>/objects`. A legacy fat-record journal opened this way keeps
-  /// working — existing records are interned on load, new ones are thin.
+  /// Opens the journal at options.dir, running crash recovery on both
+  /// journals (repair mode: torn tails are truncated) before the writers
+  /// resume. Payloads are interned into `store` (shared with the evidence
+  /// log, possibly fleet-wide) and journalled once each under
+  /// `<dir>/objects`.
   static Result<std::unique_ptr<JournalLogBackend>> open(
       journal::Options options, std::shared_ptr<ObjectStore> store);
 
   Status append(const LogRecord& record) override;
-  /// Pipelined append: object frame (object mode) and record frame are
+  /// Pipelined append: object frame (first use only) and record frame are
   /// staged, and the receipt's future settles when the *record* barrier
   /// retires — which, via the journal's before_sync coupling, implies the
   /// object frame is durable too.
@@ -68,32 +67,27 @@ class JournalLogBackend final : public LogBackend {
   /// append_async returned.
   Status health() const override;
 
-  /// Durability escape hatch for batched/timed sync policies.
+  /// Durability escape hatch for the batched sync policy.
   Status sync() override;
 
   journal::Writer& writer() noexcept { return *writer_; }
-  /// Object-journal writer (object mode only, nullptr otherwise). Exposed
-  /// for tests and crash drills, like writer().
-  journal::Writer* object_writer() noexcept { return object_writer_.get(); }
+  /// Object-journal writer, exposed for tests and crash drills like writer().
+  journal::Writer& object_writer() noexcept { return *object_writer_; }
   const journal::RecoveryReport& recovery() const noexcept { return recovery_; }
-  /// Recovery report of the object journal (empty outside object mode).
   const journal::RecoveryReport& object_recovery() const noexcept {
     return object_recovery_;
   }
-  /// What the object-mode open had to drop while resolving records (all
-  /// zero outside object mode and on a healthy journal).
+  /// What the open had to drop while resolving records (all zero on a
+  /// healthy journal).
   const ResolveStats& resolve_stats() const noexcept { return resolve_stats_; }
-  bool object_mode() const noexcept { return store_ != nullptr; }
   /// Distinct objects persisted in this backend's object journal.
   std::size_t persisted_objects() const noexcept { return persisted_.size(); }
 
  private:
-  JournalLogBackend(std::unique_ptr<journal::Writer> writer,
-                    journal::RecoveryReport recovery)
-      : writer_(std::move(writer)), recovery_(std::move(recovery)) {}
+  JournalLogBackend() = default;
 
-  // Object mode only. Declared before writer_: the record writer's barriers
-  // (including its destructor's final seal) sync the object journal through
+  // Declared before writer_: the record writer's barriers (including its
+  // destructor's final seal) sync the object journal through
   // journal::Options::before_sync, so the object writer must outlive it.
   std::shared_ptr<ObjectStore> store_;
   std::unique_ptr<journal::Writer> object_writer_;
@@ -106,13 +100,10 @@ class JournalLogBackend final : public LogBackend {
   journal::RecoveryReport recovery_;
 };
 
-/// True when `dir` holds an object-mode journal (side-loaded `objects/`
-/// sub-journal present).
-bool is_object_journal(const std::string& dir);
-
-/// Read-only walk of an object-mode journal (audit tooling): scans both
+/// Read-only walk of an evidence journal (audit tooling): scans both
 /// journals without repairing, rebuilds a fresh store from the object
-/// segment and resolves every record reference through it.
+/// segment and resolves every record reference through it. Fails with
+/// "store.not_a_journal" when `dir` has no `objects/` sub-journal.
 struct ObjectJournalScan {
   std::shared_ptr<ObjectStore> store;
   std::vector<LogRecord> records;
@@ -122,12 +113,5 @@ struct ObjectJournalScan {
   std::uint64_t undecodable = 0;    // frames that pass CRC but not decode
 };
 Result<ObjectJournalScan> scan_object_journal(const std::string& dir);
-
-/// One-shot migration of a legacy FileLogBackend hex file into a journal
-/// directory. Refuses to run if the journal already contains segments; on
-/// success the legacy file is renamed to "<path>.migrated" and the number
-/// of records moved is returned.
-Result<std::uint64_t> migrate_file_log(const std::string& legacy_path,
-                                       journal::Options options);
 
 }  // namespace nonrep::store

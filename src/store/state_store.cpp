@@ -1,12 +1,6 @@
 #include "store/state_store.hpp"
 
-#include <algorithm>
 #include <bit>
-#include <filesystem>
-#include <functional>
-
-#include "journal/reader.hpp"
-#include "journal/writer.hpp"
 
 namespace nonrep::store {
 
@@ -64,58 +58,6 @@ std::uint64_t StateStore::stored_bytes() const {
     n += s->stored_bytes;
   }
   return n;
-}
-
-StateStore::AllShardsLock::AllShardsLock(
-    const std::vector<std::unique_ptr<Shard>>& shards) {
-  ordered_.reserve(shards.size());
-  for (const auto& s : shards) ordered_.push_back(s.get());
-  std::sort(ordered_.begin(), ordered_.end(), [](const Shard* a, const Shard* b) {
-    return std::less<const util::Mutex*>{}(&a->mu, &b->mu);
-  });
-  for (const Shard* s : ordered_) s->mu.lock();
-}
-
-StateStore::AllShardsLock::~AllShardsLock() {
-  for (auto it = ordered_.rbegin(); it != ordered_.rend(); ++it) (*it)->mu.unlock();
-}
-
-Status StateStore::snapshot_to(const std::string& dir) const {
-  auto existing = journal::Segment::list(dir);
-  if (existing && !existing.value().empty()) {
-    return Error::make("store.snapshot_exists",
-                       "journal at " + dir + " already has segments");
-  }
-  auto writer = journal::Writer::open(journal::Options{
-      .dir = dir, .sync = journal::SyncPolicy::kEveryBatch});
-  if (!writer) return writer.error();
-  const AllShardsLock locks(shards_);  // one consistent cut across shards
-  for (const auto& shard : shards_) {
-    for (const auto& [digest, blob] : shard->blobs) {
-      (void)digest;  // recomputed from content on restore
-      auto seq = writer.value()->append(blob);
-      if (!seq) return seq.error();
-    }
-  }
-  return writer.value()->close();
-}
-
-Result<std::size_t> StateStore::restore_from(const std::string& dir) {
-  std::error_code ec;
-  if (!std::filesystem::is_directory(dir, ec)) {
-    return Error::make("store.snapshot_missing", "no snapshot journal at " + dir);
-  }
-  auto recovered = journal::Reader::recover(dir, journal::RecoverMode::kScanOnly);
-  if (!recovered) return recovered.error();
-  if (!recovered.value().clean) {
-    return Error::make("store.snapshot_corrupt",
-                       "snapshot journal at " + dir + " does not scan clean");
-  }
-  std::size_t fresh = 0;
-  for (const auto& rec : recovered.value().records) {
-    if (get_or_put(rec.payload).second) ++fresh;
-  }
-  return fresh;
 }
 
 }  // namespace nonrep::store

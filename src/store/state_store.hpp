@@ -12,13 +12,11 @@
 // balanced by construction; the in-shard hash uses the first word, keeping
 // shard selection and bucket placement independent). put/get/contains
 // touch exactly one shard mutex; party threads and delivery strands
-// operate on disjoint shards in parallel. snapshot_to/restore_from lock
-// all shards in index order to emit/ingest one coherent journal.
+// operate on disjoint shards in parallel; nothing holds two shards at once.
 #pragma once
 
 #include <cstring>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -41,8 +39,7 @@ class StateStore {
 
   /// Insert-if-absent variant: returns the digest plus whether the blob was
   /// newly stored. The store never removes or evicts entries, so the stored
-  /// copy (and its digest address) stays valid for the store's lifetime —
-  /// which is what lets snapshot/restore stream blobs without re-checking.
+  /// copy (and its digest address) stays valid for the store's lifetime.
   std::pair<crypto::Digest, bool> get_or_put(BytesView state);
 
   /// Retrieve the state for a digest.
@@ -52,16 +49,6 @@ class StateStore {
   std::size_t size() const;
   std::uint64_t stored_bytes() const;
   std::size_t shard_count() const noexcept { return shards_.size(); }
-
-  /// Persist every blob into a fresh journal at `dir` (one data record per
-  /// blob, sealed with the segment checkpoint on success). Fails if the
-  /// directory already holds segments. All shards are locked for the
-  /// duration, so the snapshot is a single consistent cut.
-  Status snapshot_to(const std::string& dir) const NONREP_NO_THREAD_SAFETY_ANALYSIS;
-
-  /// Merge all blobs from a snapshot journal into this store; returns how
-  /// many were new. The snapshot must scan clean (CRCs, checkpoints).
-  Result<std::size_t> restore_from(const std::string& dir);
 
  private:
   struct Shard {
@@ -79,22 +66,6 @@ class StateStore {
     std::memcpy(&h, d.data() + crypto::kSha256DigestSize - sizeof(h), sizeof(h));
     return *shards_[h & shard_mask_];
   }
-
-  /// RAII over every shard mutex at once, acquired in *address* order —
-  /// the one total order the lockdep stripe rule (LockTraits::multi)
-  /// accepts for same-class nesting, and a deadlock-free order like any
-  /// other total order. Only snapshot_to holds more than one shard.
-  class AllShardsLock {
-   public:
-    explicit AllShardsLock(const std::vector<std::unique_ptr<Shard>>& shards)
-        NONREP_NO_THREAD_SAFETY_ANALYSIS;
-    ~AllShardsLock() NONREP_NO_THREAD_SAFETY_ANALYSIS;
-    AllShardsLock(const AllShardsLock&) = delete;
-    AllShardsLock& operator=(const AllShardsLock&) = delete;
-
-   private:
-    std::vector<const Shard*> ordered_;  // locked front-to-back, unlocked in reverse
-  };
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t shard_mask_ = 0;

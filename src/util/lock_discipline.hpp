@@ -30,8 +30,9 @@
 //   - kUnranked locks skip the monotonicity check (they are still tracked
 //     in the acquisition-order graph, so cycles among them are caught);
 //   - `multi` classes (lock-striped stores) may acquire several same-class
-//     locks at equal rank, provided addresses are strictly increasing --
-//     exactly the order StateStore::AllShardsLock uses.
+//     locks at equal rank, provided addresses are strictly increasing (the
+//     stores mark their shards `multi`, though every current operation
+//     holds one shard at a time).
 // Locks whose traits say `deliver_safe` (the scenario load driver's
 // per-member mutex) are exempt from the "no lock held here" assertion at
 // Coordinator::deliver/deliver_request and the SimNetwork pump entry; they
@@ -155,7 +156,7 @@ struct LockTraits {
   // SimNetwork pump. Orchestration tier only (rank < kHandler).
   bool deliver_safe = false;
   // Lock-striped class: several same-class locks may be held at equal rank
-  // if acquired in strictly increasing address order (AllShardsLock).
+  // if acquired in strictly increasing address order.
   bool multi = false;
 };
 

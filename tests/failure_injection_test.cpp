@@ -275,9 +275,9 @@ TEST_F(FailureFixture, EndToEndRunSurvivesTornWriteAndAudits) {
 
   // A client whose evidence log is journal-backed performs a real
   // non-repudiable exchange.
-  auto backend =
-      store::JournalLogBackend::open({.dir = jdir, .sync = journal::SyncPolicy::kEveryRecord})
-          .take();
+  auto backend = store::JournalLogBackend::open(
+                     {.dir = jdir, .sync = journal::SyncPolicy::kEveryRecord}, world.objects())
+                     .take();
   auto* journal_backend = backend.get();
   auto& client = world.add_party("client", {}, std::move(backend));
   auto& server = world.add_party("server");
@@ -304,6 +304,7 @@ TEST_F(FailureFixture, EndToEndRunSurvivesTornWriteAndAudits) {
 
   // Crash: the process dies mid-append, leaving a torn final record.
   journal_backend->writer().simulate_crash();
+  journal_backend->object_writer().simulate_crash();
   {
     auto segs = journal::Segment::list(jdir);
     ASSERT_TRUE(segs.ok());
@@ -316,11 +317,12 @@ TEST_F(FailureFixture, EndToEndRunSurvivesTornWriteAndAudits) {
 
   // Restart: recovery truncates the torn record, keeps every complete one
   // with sequence continuity, and the evidence chain still verifies.
-  auto reopened =
-      store::JournalLogBackend::open({.dir = jdir, .sync = journal::SyncPolicy::kEveryRecord});
+  auto rebuilt = std::make_shared<store::ObjectStore>();
+  auto reopened = store::JournalLogBackend::open(
+      {.dir = jdir, .sync = journal::SyncPolicy::kEveryRecord}, rebuilt);
   ASSERT_TRUE(reopened.ok()) << reopened.error().detail;
   EXPECT_GT(reopened.value()->recovery().truncated_bytes, 0u);
-  store::EvidenceLog recovered(std::move(reopened).take(), world.clock);
+  store::EvidenceLog recovered(std::move(reopened).take(), world.clock, rebuilt);
   ASSERT_EQ(recovered.size(), logged);
   EXPECT_TRUE(recovered.verify_chain().ok());
   EXPECT_TRUE(recovered.find(run, "token.NRO-request").has_value());
@@ -379,7 +381,7 @@ struct TornAsyncFixture : ::testing::Test {
     ASSERT_TRUE(jb->sync().ok());
     ASSERT_TRUE(log.backend_status().ok());
     jb->writer().simulate_crash();
-    jb->object_writer()->simulate_crash();
+    jb->object_writer().simulate_crash();
 
     auto rsegs = journal::Segment::list(dir);
     ASSERT_TRUE(rsegs.ok());

@@ -301,23 +301,6 @@ TEST(Journal, BatchPolicyCrashLosesOnlyUnflushedTail) {
   EXPECT_EQ(report->next_sequence, 8u);  // numbering resumes where durability ended
 }
 
-TEST(Journal, TimedPolicyWritesThroughToTheOs) {
-  // kTimed defers only the device barrier: every append reaches the OS, so
-  // a process crash (as opposed to power loss) loses nothing even when the
-  // sync interval never elapsed.
-  const std::string dir = temp_dir("timed");
-  auto w = Writer::open({.dir = dir,
-                         .sync = SyncPolicy::kTimed,
-                         .sync_interval_ms = 3600 * 1000});
-  ASSERT_TRUE(w.ok());
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(w.value()->append(payload(i)).ok());
-  EXPECT_EQ(w.value()->stats().syncs, 0u);  // interval never elapsed
-  w.value()->simulate_crash();
-  auto report = Reader::recover(dir, RecoverMode::kScanOnly);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->records.size(), 6u);
-}
-
 TEST(Journal, MidJournalDamageIsNotRepairedAway) {
   const std::string dir = temp_dir("mid_damage");
   {

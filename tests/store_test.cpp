@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -10,7 +9,6 @@
 #include "store/evidence_log.hpp"
 #include "store/journal_backend.hpp"
 #include "store/state_store.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nonrep::store {
 namespace {
@@ -74,47 +72,38 @@ TEST(EvidenceLog, ChainDigestDetectsTamper) {
   EXPECT_NE(chain_digest(crypto::Digest{}, tampered), log.records()[0].chain);
 }
 
-TEST(EvidenceLog, FileBackendRoundTrip) {
-  const std::string path = "/tmp/nonrep_log_test.log";
-  std::remove(path.c_str());
+TEST(EvidenceLog, JournalTamperDetectedOnReload) {
+  const std::string dir = temp_dir("tamper");
+  const std::string dropped = temp_dir("tamper_dropped");
+  auto clock = make_clock();
   {
-    EvidenceLog log(std::make_unique<FileLogBackend>(path), make_clock());
-    log.append(RunId("r1"), "token.NRO-request", to_bytes("persisted"));
-    log.append(RunId("r2"), "vote", Bytes{0x00, 0xff, 0x10});
-  }
-  EvidenceLog reloaded(std::make_unique<FileLogBackend>(path), make_clock());
-  EXPECT_EQ(reloaded.size(), 2u);
-  EXPECT_TRUE(reloaded.verify_chain().ok());
-  auto rec = reloaded.find(RunId("r1"), "token.NRO-request");
-  ASSERT_TRUE(rec.has_value());
-  EXPECT_EQ(to_string(rec->payload), "persisted");
-  std::remove(path.c_str());
-}
-
-TEST(EvidenceLog, FileBackendTamperDetectedOnReload) {
-  const std::string path = "/tmp/nonrep_log_tamper.log";
-  std::remove(path.c_str());
-  {
-    EvidenceLog log(std::make_unique<FileLogBackend>(path), make_clock());
+    auto objects = std::make_shared<ObjectStore>();
+    EvidenceLog log(JournalLogBackend::open({.dir = dir}, objects).take(), clock, objects);
     log.append(RunId("r1"), "k", to_bytes("a"));
     log.append(RunId("r1"), "k", to_bytes("b"));
   }
-  // Truncate the first line (drop a record) — the chain must not verify.
   {
-    EvidenceLog log(std::make_unique<FileLogBackend>(path), make_clock());
+    auto objects = std::make_shared<ObjectStore>();
+    EvidenceLog log(JournalLogBackend::open({.dir = dir}, objects).take(), clock, objects);
     EXPECT_TRUE(log.verify_chain().ok());
   }
-  std::ifstream in(path);
-  std::string line1, line2;
-  std::getline(in, line1);
-  std::getline(in, line2);
-  in.close();
-  std::ofstream out(path, std::ios::trunc);
-  out << line2 << '\n';  // second record without its predecessor
-  out.close();
-  EvidenceLog log(std::make_unique<FileLogBackend>(path), make_clock());
+  // Drop a record: a journal holding the same objects but only the second
+  // record frame, without its predecessor — the chain must not verify.
+  auto frames = journal::Reader::recover(dir, journal::RecoverMode::kScanOnly);
+  ASSERT_TRUE(frames.ok());
+  ASSERT_EQ(frames.value().records.size(), 2u);
+  fs::create_directories(dropped);
+  fs::copy(fs::path(dir) / "objects", fs::path(dropped) / "objects",
+           fs::copy_options::recursive);
+  {
+    auto writer = journal::Writer::open({.dir = dropped});
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer.value()->append(frames.value().records[1].payload).ok());
+  }
+  auto objects = std::make_shared<ObjectStore>();
+  EvidenceLog log(JournalLogBackend::open({.dir = dropped}, objects).take(), clock, objects);
+  ASSERT_EQ(log.size(), 1u);
   EXPECT_FALSE(log.verify_chain().ok());
-  std::remove(path.c_str());
 }
 
 TEST(EvidenceLog, EmptyChainVerifies) {
@@ -138,10 +127,11 @@ TEST(EvidenceLog, AsyncReceiptFromSynchronousBackendIsSettled) {
 
 TEST(EvidenceLog, JournalReceiptsSettleAndChainStaysOrdered) {
   const std::string dir = temp_dir("receipts");
+  auto objects = std::make_shared<ObjectStore>();
   auto backend = JournalLogBackend::open(
-      {.dir = dir, .sync = journal::SyncPolicy::kEveryRecord});
+      {.dir = dir, .sync = journal::SyncPolicy::kEveryRecord}, objects);
   ASSERT_TRUE(backend.ok());
-  EvidenceLog log(std::move(backend).take(), make_clock());
+  EvidenceLog log(std::move(backend).take(), make_clock(), objects);
   // Stage a burst without waiting, then settle all receipts — the barrier
   // waits overlap, and every record must still come out durable and chained.
   std::vector<AppendReceipt> receipts;
@@ -155,19 +145,22 @@ TEST(EvidenceLog, JournalReceiptsSettleAndChainStaysOrdered) {
   EXPECT_TRUE(log.backend_status().ok());
   EXPECT_TRUE(log.verify_chain().ok());
 
-  EvidenceLog reloaded(JournalLogBackend::open({.dir = dir}).take(), make_clock());
+  auto rebuilt = std::make_shared<ObjectStore>();
+  EvidenceLog reloaded(JournalLogBackend::open({.dir = dir}, rebuilt).take(), make_clock(),
+                       rebuilt);
   EXPECT_EQ(reloaded.size(), 10u);
   EXPECT_TRUE(reloaded.verify_chain().ok());
 }
 
 TEST(EvidenceLog, BackendHealthSurfacesPostReceiptFailures) {
   const std::string dir = temp_dir("receipt_health");
-  auto backend = JournalLogBackend::open({.dir = dir,
-                                          .sync = journal::SyncPolicy::kEveryBatch,
-                                          .batch_records = 1000});
+  auto objects = std::make_shared<ObjectStore>();
+  auto backend = JournalLogBackend::open(
+      {.dir = dir, .sync = journal::SyncPolicy::kEveryBatch, .batch_records = 1000},
+      objects);
   ASSERT_TRUE(backend.ok());
   auto* jb = backend.value().get();
-  EvidenceLog log(std::move(backend).take(), make_clock());
+  EvidenceLog log(std::move(backend).take(), make_clock(), objects);
   auto [rec, receipt] = log.append_async(RunId("r"), "k", to_bytes("staged"));
   EXPECT_FALSE(receipt.policy_blocks);
   EXPECT_TRUE(log.backend_status().ok());
@@ -186,11 +179,12 @@ TEST(EvidenceLog, BackendHealthSurfacesPostReceiptFailures) {
 
 TEST(EvidenceLog, SettleForcesBarrierForBatchedReceipts) {
   const std::string dir = temp_dir("receipt_force");
-  auto backend = JournalLogBackend::open({.dir = dir,
-                                          .sync = journal::SyncPolicy::kEveryBatch,
-                                          .batch_records = 1000});
+  auto objects = std::make_shared<ObjectStore>();
+  auto backend = JournalLogBackend::open(
+      {.dir = dir, .sync = journal::SyncPolicy::kEveryBatch, .batch_records = 1000},
+      objects);
   ASSERT_TRUE(backend.ok());
-  EvidenceLog log(std::move(backend).take(), make_clock());
+  EvidenceLog log(std::move(backend).take(), make_clock(), objects);
   // One staged record, batch nowhere near full: no barrier is in flight and
   // none would ever come without more traffic. settle() must force one and
   // return, not stall waiting for a later append to fill the batch.
@@ -265,79 +259,24 @@ TEST(StateStore, GetOrPutReportsFreshness) {
   EXPECT_EQ(store.stored_bytes(), 5u);  // the duplicate was not recounted
 }
 
-TEST(StateStore, SnapshotRestoreRoundTrip) {
-  const std::string dir = temp_dir("snapshot");
-  StateStore original;
-  for (int i = 0; i < 40; ++i) original.put(to_bytes("state-" + std::to_string(i)));
-  ASSERT_TRUE(original.snapshot_to(dir).ok());
-
-  // The snapshot itself is a sealed, auditable journal.
-  EXPECT_TRUE(journal::Reader::audit(dir).ok);
-
-  StateStore restored;
-  restored.put(to_bytes("state-7"));  // overlap: must not be double-counted
-  auto fresh = restored.restore_from(dir);
-  ASSERT_TRUE(fresh.ok()) << fresh.error().detail;
-  EXPECT_EQ(fresh.value(), 39u);
-  EXPECT_EQ(restored.size(), 40u);
-  for (int i = 0; i < 40; ++i) {
-    const Bytes blob = to_bytes("state-" + std::to_string(i));
-    auto got = restored.get(crypto::Sha256::hash(blob));
-    ASSERT_TRUE(got.ok()) << i;
-    EXPECT_EQ(got.value(), blob);
-  }
-}
-
-TEST(StateStore, SnapshotRefusesExistingJournal) {
-  const std::string dir = temp_dir("snapshot_exists");
-  StateStore store;
-  store.put(to_bytes("a"));
-  ASSERT_TRUE(store.snapshot_to(dir).ok());
-  auto second = store.snapshot_to(dir);
-  ASSERT_FALSE(second.ok());
-  EXPECT_EQ(second.error().code, "store.snapshot_exists");
-}
-
-TEST(StateStore, RestoreRejectsCorruptSnapshot) {
-  const std::string dir = temp_dir("snapshot_corrupt");
-  StateStore store;
-  for (int i = 0; i < 10; ++i) store.put(Bytes(64, static_cast<std::uint8_t>(i)));
-  ASSERT_TRUE(store.snapshot_to(dir).ok());
-  // Flip one byte somewhere in the middle of the single segment.
-  std::string seg;
-  for (const auto& e : fs::directory_iterator(dir)) seg = e.path().string();
-  {
-    std::fstream f(seg, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(200);
-    char c;
-    f.seekg(200);
-    f.get(c);
-    c = static_cast<char>(c ^ 0x20);
-    f.seekp(200);
-    f.put(c);
-  }
-  StateStore restored;
-  auto result = restored.restore_from(dir);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, "store.snapshot_corrupt");
-}
-
 // ---- journal-backed evidence log ----
 
 TEST(JournalBackend, RoundTripAcrossRestart) {
   const std::string dir = temp_dir("backend_roundtrip");
   auto clock = make_clock();
   {
-    auto backend = JournalLogBackend::open({.dir = dir});
+    auto objects = std::make_shared<ObjectStore>();
+    auto backend = JournalLogBackend::open({.dir = dir}, objects);
     ASSERT_TRUE(backend.ok()) << backend.error().detail;
-    EvidenceLog log(std::move(backend).take(), clock);
+    EvidenceLog log(std::move(backend).take(), clock, objects);
     log.append(RunId("r1"), "token.NRO-request", to_bytes("persisted"));
     log.append(RunId("r2"), "vote", Bytes{0x00, 0xff, 0x10});
     EXPECT_TRUE(log.backend_status().ok());
   }
-  auto backend = JournalLogBackend::open({.dir = dir});
+  auto rebuilt = std::make_shared<ObjectStore>();
+  auto backend = JournalLogBackend::open({.dir = dir}, rebuilt);
   ASSERT_TRUE(backend.ok());
-  EvidenceLog reloaded(std::move(backend).take(), clock);
+  EvidenceLog reloaded(std::move(backend).take(), clock, rebuilt);
   ASSERT_EQ(reloaded.size(), 2u);
   EXPECT_TRUE(reloaded.verify_chain().ok());
   auto rec = reloaded.find(RunId("r1"), "token.NRO-request");
@@ -351,8 +290,9 @@ TEST(JournalBackend, RoundTripAcrossRestart) {
 
 TEST(JournalBackend, SequenceDivergenceSurfaces) {
   const std::string dir = temp_dir("backend_divergence");
-  auto backend =
-      JournalLogBackend::open({.dir = dir, .sync = journal::SyncPolicy::kEveryRecord});
+  auto objects = std::make_shared<ObjectStore>();
+  auto backend = JournalLogBackend::open(
+      {.dir = dir, .sync = journal::SyncPolicy::kEveryRecord}, objects);
   ASSERT_TRUE(backend.ok());
   // Hand the backend a record whose embedded sequence does not match the
   // journal's: the mismatch must be reported, not silently persisted.
@@ -367,82 +307,13 @@ TEST(JournalBackend, SequenceDivergenceSurfaces) {
   LogRecord genuine;
   genuine.sequence = 0;
   genuine.kind = "k";
+  genuine.object = objects->put(typesig_for_kind(genuine.kind), genuine.payload).id;
+  genuine.interned = true;
   EXPECT_TRUE(backend.value()->append(genuine).ok());
   backend.value()->writer().simulate_crash();
-  auto reopened = JournalLogBackend::open({.dir = dir});
+  auto reopened = JournalLogBackend::open({.dir = dir}, std::make_shared<ObjectStore>());
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(reopened.value()->recovery().records.size(), 1u);
-}
-
-TEST(JournalBackend, MigrationFromLegacyHexLog) {
-  const std::string legacy = "/tmp/nonrep_store_legacy.log";
-  const std::string dir = temp_dir("backend_migrate");
-  std::remove(legacy.c_str());
-  std::remove((legacy + ".migrated").c_str());
-  auto clock = make_clock();
-  {
-    EvidenceLog log(std::make_unique<FileLogBackend>(legacy), clock);
-    for (int i = 0; i < 8; ++i) {
-      log.append(RunId("r" + std::to_string(i % 3)), "kind", to_bytes("p" + std::to_string(i)));
-    }
-  }
-  auto migrated = migrate_file_log(legacy, {.dir = dir});
-  ASSERT_TRUE(migrated.ok()) << migrated.error().detail;
-  EXPECT_EQ(migrated.value(), 8u);
-  EXPECT_FALSE(fs::exists(legacy));
-  EXPECT_TRUE(fs::exists(legacy + ".migrated"));
-
-  // Hash chain, sequence numbers and payloads all survive the format change.
-  auto backend = JournalLogBackend::open({.dir = dir});
-  ASSERT_TRUE(backend.ok());
-  EvidenceLog log(std::move(backend).take(), clock);
-  ASSERT_EQ(log.size(), 8u);
-  EXPECT_TRUE(log.verify_chain().ok());
-  EXPECT_EQ(to_string(log.records()[5].payload), "p5");
-  // And the migrated journal is sealed + auditable.
-  EXPECT_TRUE(journal::Reader::audit(dir).ok);
-
-  // One-shot: a second migration attempt must refuse.
-  {
-    EvidenceLog again(std::make_unique<FileLogBackend>(legacy), clock);
-    again.append(RunId("r"), "k", to_bytes("x"));
-  }
-  auto second = migrate_file_log(legacy, {.dir = dir});
-  ASSERT_FALSE(second.ok());
-  EXPECT_EQ(second.error().code, "log.migrate_exists");
-  std::remove(legacy.c_str());
-  std::remove((legacy + ".migrated").c_str());
-}
-
-TEST(JournalBackend, MigrationSurvivesStaleStagingAndExistingDir) {
-  const std::string legacy = "/tmp/nonrep_store_legacy2.log";
-  const std::string dir = temp_dir("backend_migrate2");
-  std::remove(legacy.c_str());
-  std::remove((legacy + ".migrated").c_str());
-  auto clock = make_clock();
-  {
-    EvidenceLog log(std::make_unique<FileLogBackend>(legacy), clock);
-    for (int i = 0; i < 4; ++i) log.append(RunId("r"), "k", to_bytes("p" + std::to_string(i)));
-  }
-  // A previous migration died mid-way: its staging directory is still there,
-  // and the (segment-free) destination directory already exists.
-  fs::create_directories(dir);
-  fs::create_directories(dir + ".migrating");
-  {
-    std::ofstream junk((fs::path(dir + ".migrating") / "seg-00000000000000000000.wal"));
-    junk << "partial garbage";
-  }
-  auto migrated = migrate_file_log(legacy, {.dir = dir});
-  ASSERT_TRUE(migrated.ok()) << migrated.error().detail;
-  EXPECT_EQ(migrated.value(), 4u);
-  EXPECT_FALSE(fs::exists(dir + ".migrating"));
-  EXPECT_TRUE(journal::Reader::audit(dir).ok);
-  auto backend = JournalLogBackend::open({.dir = dir});
-  ASSERT_TRUE(backend.ok());
-  EvidenceLog log(std::move(backend).take(), clock);
-  EXPECT_EQ(log.size(), 4u);
-  EXPECT_TRUE(log.verify_chain().ok());
-  std::remove((legacy + ".migrated").c_str());
 }
 
 TEST(StateStore, ManyDistinctStates) {
@@ -653,8 +524,6 @@ TEST(ObjectStore, ThinRecordCodecRoundTrip) {
   EXPECT_EQ(rec.object, object_id(kTypeToken, rec.payload));
 
   const Bytes thin = encode_log_record_ref(rec);
-  EXPECT_TRUE(is_log_record_ref(thin));
-  EXPECT_FALSE(is_log_record_ref(encode_log_record(rec)));
   auto decoded = decode_log_record_ref(thin);
   ASSERT_TRUE(decoded.ok()) << decoded.error().detail;
   EXPECT_EQ(decoded.value().record.sequence, rec.sequence);
@@ -687,7 +556,7 @@ TEST(ObjectStore, EvidenceLogInternsSharedStoreDedups) {
   }
 }
 
-// ---- object-mode journal backend ----
+// ---- journal backend: thin records + object journal ----
 
 TEST(ObjectJournal, RoundTripAcrossRestartRebuildsStore) {
   const std::string dir = temp_dir("object_roundtrip");
@@ -697,7 +566,6 @@ TEST(ObjectJournal, RoundTripAcrossRestartRebuildsStore) {
     auto backend = JournalLogBackend::open(
         {.dir = dir, .sync = journal::SyncPolicy::kEveryRecord}, objects);
     ASSERT_TRUE(backend.ok()) << backend.error().detail;
-    EXPECT_TRUE(backend.value()->object_mode());
     auto* raw = backend.value().get();
     EvidenceLog log(std::move(backend).take(), clock, objects);
     for (int i = 0; i < 12; ++i) {
@@ -708,7 +576,7 @@ TEST(ObjectJournal, RoundTripAcrossRestartRebuildsStore) {
     // Twelve thin records, but only the four distinct payloads hit the disk.
     EXPECT_EQ(raw->persisted_objects(), 4u);
   }
-  ASSERT_TRUE(is_object_journal(dir));
+  ASSERT_TRUE(fs::is_directory(fs::path(dir) / "objects"));
 
   auto rebuilt = std::make_shared<ObjectStore>();
   auto backend = JournalLogBackend::open({.dir = dir}, rebuilt);
@@ -797,61 +665,61 @@ TEST(ObjectJournal, ScanReportsDanglingReferences) {
   EXPECT_EQ(scan.value().store->size(), 0u);
 }
 
-TEST(ObjectJournal, LegacyFatJournalOpensInObjectMode) {
-  const std::string dir = temp_dir("object_legacy");
+TEST(ObjectJournal, NonThinFrameIsUndecodable) {
+  // One record format: a record frame that passes CRC but is not a thin
+  // record — here a full-payload encode_log_record frame between two thin
+  // ones — is undecodable, with no fallback decode. The open and the audit
+  // scan both count it, and the chain over the loaded log shows the gap.
+  const std::string dir = temp_dir("object_non_thin");
   auto clock = make_clock();
   {
-    auto backend = JournalLogBackend::open(
-        {.dir = dir, .sync = journal::SyncPolicy::kEveryRecord});  // fat records
-    ASSERT_TRUE(backend.ok());
-    EvidenceLog log(std::move(backend).take(), clock);
-    for (int i = 0; i < 5; ++i) {
-      log.append(RunId("r"), "token.NRO-request", to_bytes("legacy " + std::to_string(i)));
+    auto objects = std::make_shared<ObjectStore>();
+    EvidenceLog source(std::make_unique<MemoryLogBackend>(), clock, objects);
+    for (int i = 0; i < 3; ++i) {
+      source.append(RunId("r"), "token.NRO-request", to_bytes("p" + std::to_string(i)));
     }
-    ASSERT_TRUE(log.backend_status().ok());
+    auto backend = JournalLogBackend::open(
+        {.dir = dir, .sync = journal::SyncPolicy::kEveryRecord}, objects);
+    ASSERT_TRUE(backend.ok()) << backend.error().detail;
+    const auto& recs = source.records();
+    ASSERT_TRUE(backend.value()->append(recs[0]).ok());
+    ASSERT_TRUE(backend.value()->writer().append(encode_log_record(recs[1])).ok());
+    ASSERT_TRUE(backend.value()->append(recs[2]).ok());
   }
-  // Reopening with a store interns the legacy records and journals new ones
-  // thin; the chain spans both formats.
-  auto objects = std::make_shared<ObjectStore>();
-  auto backend = JournalLogBackend::open({.dir = dir}, objects);
+
+  auto rebuilt = std::make_shared<ObjectStore>();
+  auto backend = JournalLogBackend::open({.dir = dir}, rebuilt);
   ASSERT_TRUE(backend.ok()) << backend.error().detail;
-  EvidenceLog log(std::move(backend).take(), clock, objects);
-  ASSERT_EQ(log.size(), 5u);
-  EXPECT_EQ(objects->size(), 5u);
-  EXPECT_TRUE(log.records()[0].interned);
-  log.append(RunId("r"), "token.NRO-request", to_bytes("thin one"));
-  EXPECT_TRUE(log.backend_status().ok());
-  EXPECT_TRUE(log.verify_chain().ok());
+  EXPECT_EQ(backend.value()->resolve_stats().undecodable, 1u);
+  EXPECT_EQ(backend.value()->resolve_stats().dangling_refs, 0u);
+  EvidenceLog log(std::move(backend).take(), clock, rebuilt);
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_FALSE(log.verify_chain().ok());
+
+  auto scan = scan_object_journal(dir);
+  ASSERT_TRUE(scan.ok()) << scan.error().detail;
+  EXPECT_EQ(scan.value().undecodable, 1u);
+  EXPECT_EQ(scan.value().dangling_refs, 0u);
+  EXPECT_EQ(scan.value().records.size(), 2u);
 }
 
-TEST(ObjectJournal, LegacyFatRecordSharingThinTagByteSurvives) {
-  // A fat record opens with the little-endian u32 length of its canonical
-  // bytes; with run "r", kind "k" and a 52-byte payload that length is
-  // 8+8+5+5+56 = 82 = 0x52 — the thin-record tag. The object-mode reader
-  // must fall back to the fat decode when the thin decode fails, not drop
-  // the frame (which would leave a permanent chain gap).
-  const std::string dir = temp_dir("object_legacy_0x52");
-  auto clock = make_clock();
-  {
-    auto backend = JournalLogBackend::open(
-        {.dir = dir, .sync = journal::SyncPolicy::kEveryRecord});  // fat records
-    ASSERT_TRUE(backend.ok());
-    EvidenceLog log(std::move(backend).take(), clock);
-    const LogRecord rec = log.append(RunId("r"), "k", Bytes(52, 0xaa));
-    ASSERT_EQ(rec.canonical().size(), 0x52u);  // the collision under test
-    ASSERT_TRUE(is_log_record_ref(encode_log_record(rec)));
-    log.append(RunId("r"), "token.NRO-request", to_bytes("after"));
-    ASSERT_TRUE(log.backend_status().ok());
-  }
-  auto objects = std::make_shared<ObjectStore>();
-  auto backend = JournalLogBackend::open({.dir = dir}, objects);
-  ASSERT_TRUE(backend.ok()) << backend.error().detail;
-  EXPECT_EQ(backend.value()->resolve_stats().undecodable, 0u);
-  EXPECT_EQ(backend.value()->resolve_stats().dangling_refs, 0u);
-  EvidenceLog log(std::move(backend).take(), clock, objects);
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_TRUE(log.verify_chain().ok());
-  EXPECT_EQ(log.records()[0].payload, Bytes(52, 0xaa));
+TEST(ObjectJournal, ScanRequiresObjectJournal) {
+  // A directory without an objects/ sub-journal is not an evidence journal;
+  // one opened and closed with zero appends is, and scans clean.
+  const std::string empty = temp_dir("object_scan_empty");
+  fs::create_directories(empty);
+  auto rejected = scan_object_journal(empty);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.error().code, "store.not_a_journal");
+
+  const std::string dir = temp_dir("object_scan_zero");
+  ASSERT_TRUE(JournalLogBackend::open({.dir = dir}, std::make_shared<ObjectStore>()).ok());
+  auto scan = scan_object_journal(dir);
+  ASSERT_TRUE(scan.ok()) << scan.error().detail;
+  EXPECT_TRUE(scan.value().records.empty());
+  EXPECT_EQ(scan.value().undecodable, 0u);
+  EXPECT_EQ(scan.value().dangling_refs, 0u);
+  EXPECT_TRUE(journal::Reader::audit(dir).ok);
 }
 
 TEST(ObjectJournal, RecordBarrierSyncsObjectJournalFirst) {
@@ -879,7 +747,7 @@ TEST(ObjectJournal, RecordBarrierSyncsObjectJournalFirst) {
     // syncs the object journal itself and would mask a missing coupling.
     ASSERT_TRUE(raw->writer().sync().ok());
     raw->writer().simulate_crash();
-    raw->object_writer()->simulate_crash();  // unsynced object frames are gone
+    raw->object_writer().simulate_crash();  // unsynced object frames are gone
   }
 
   auto rebuilt = std::make_shared<ObjectStore>();
@@ -891,29 +759,6 @@ TEST(ObjectJournal, RecordBarrierSyncsObjectJournalFirst) {
   EXPECT_EQ(log.size(), 8u);
   EXPECT_TRUE(log.verify_chain().ok());
   EXPECT_EQ(rebuilt->size(), 8u);  // every distinct payload made it to disk
-}
-
-TEST(StateStore, ShardedSnapshotIsOneCoherentJournal) {
-  const std::string dir = temp_dir("sharded_snapshot");
-  StateStore store(4);
-  util::ThreadPool pool(4);
-  for (int t = 0; t < 4; ++t) {
-    pool.submit([&store, t] {
-      for (int i = 0; i < 50; ++i) {
-        store.put(to_bytes("blob-" + std::to_string(t) + "-" + std::to_string(i)));
-      }
-    });
-  }
-  pool.wait_idle();
-  ASSERT_TRUE(store.snapshot_to(dir).ok());
-
-  StateStore restored(2);  // different shard count: the journal is agnostic
-  auto fresh = restored.restore_from(dir);
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(fresh.value(), 200u);
-  EXPECT_EQ(restored.size(), store.size());
-  EXPECT_EQ(restored.stored_bytes(), store.stored_bytes());
-  fs::remove_all(dir);
 }
 
 }  // namespace
