@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Repo-local lint for the lock discipline and hostile-input rules.
+"""Repo-local lint for the lock discipline, hostile-input and configuration rules.
 
 Checks, over every .hpp/.cpp under src/:
 
@@ -15,6 +15,10 @@ Checks, over every .hpp/.cpp under src/:
    an adversary controls must reject with a Status/Result, never with an
    assert that compiles out under NDEBUG (the pki_release_test regression
    exists for exactly that failure mode).
+
+3. getenv( / secure_getenv( are banned: the library is configured through
+   its Options structs only, so a caller (or a test) sees every knob that
+   changes behavior, and no environment variable silently overrides one.
 
 Exit 0 when clean; prints one line per violation and exits 1 otherwise.
 """
@@ -53,6 +57,10 @@ HOSTILE_INPUT_PATHS = [
         r"src/store/evidence_log\.(hpp|cpp)$",
     )
 ]
+
+# Library configuration goes through the Options structs, never the process
+# environment.
+ENV_KNOB = re.compile(r"\b(?:secure_)?getenv\s*\(")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -103,6 +111,12 @@ def main() -> int:
                         f"{rel}:{lineno}: assert() in a hostile-input path — "
                         "reject with Status/Result instead"
                     )
+        for lineno, line in enumerate(code.splitlines(), 1):
+            if ENV_KNOB.search(line):
+                violations.append(
+                    f"{rel}:{lineno}: getenv in the library — add an Options "
+                    "field instead of an environment knob"
+                )
     for v in violations:
         print(v)
     if violations:

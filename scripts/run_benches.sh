@@ -121,19 +121,17 @@ for b in rows:
     ips = b.get("items_per_second")
     if ips:
         pipelined.setdefault(policy, []).append(
-            (appenders, inflight, ips, b.get("batches_in_flight_peak", 0),
-             b.get("out_of_order", 0), b.get("uring", 0)))
+            (appenders, inflight, ips, b.get("batches_in_flight_peak", 0)))
 if pipelined:
     print("=== pipelined commit (append_async + ticket window vs blocking append) ===")
     for policy in ("EveryRecord", "Batch"):
         base = blocking.get(policy)
         base_ips = 1e6 / base if base else None
-        for appenders, inflight, ips, peak, ooo, uring in sorted(pipelined.get(policy, [])):
+        for appenders, inflight, ips, peak in sorted(pipelined.get(policy, [])):
             speedup = f"  {ips / base_ips:.2f}x blocking" if base_ips else ""
             print(f"  {policy:<11} appenders={appenders} inflight={inflight}:"
                   f" {ips / 1000:>7.1f}k appends/s{speedup}"
-                  f"  (peak {peak:.0f} in flight, out-of-order {ooo:.0f},"
-                  f" {'uring' if uring else 'fdatasync worker'})")
+                  f"  (peak {peak:.0f} in flight)")
 PYEOF
 fi
 

@@ -7,7 +7,6 @@
 #include <chrono>
 #include <cstring>
 
-#include "journal/uring.hpp"
 #include "obs/metrics.hpp"
 
 namespace nonrep::journal {
@@ -18,8 +17,6 @@ struct PipelineMetrics {
   obs::Gauge& depth = obs::Registry::global().gauge("journal.pipeline.depth");
   obs::Counter& coalesced =
       obs::Registry::global().counter("journal.pipeline.coalesced");
-  obs::Counter& out_of_order =
-      obs::Registry::global().counter("journal.pipeline.out_of_order");
   obs::Counter& backpressure =
       obs::Registry::global().counter("journal.pipeline.backpressure_waits");
   obs::Counter& syncs = obs::Registry::global().counter("journal.syncs");
@@ -46,58 +43,9 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
 
 }  // namespace
 
-// ---------------------------------------------------------------- ledger
-
-std::uint64_t RetireLedger::submit(std::uint64_t target_lsn,
-                                   std::uint64_t target_bytes) {
-  Entry e;
-  e.id = next_id_++;
-  e.lsn = target_lsn;
-  e.bytes = target_bytes;
-  entries_.push_back(e);
-  ++outstanding_;
-  return e.id;
-}
-
-RetireLedger::Retired RetireLedger::complete(std::uint64_t id) {
-  Retired r;
-  for (auto& e : entries_) {
-    if (e.id != id || e.done) continue;
-    e.done = true;
-    if (outstanding_ > 0) --outstanding_;
-    r.known = true;
-    // An fsync covers everything written before its submission, so a
-    // completion retires its own target even when an earlier-submitted
-    // barrier is still in flight — that is precisely the out-of-order case.
-    if (e.lsn > retired_lsn_ || e.bytes > retired_bytes_) {
-      if (&e != &entries_.front()) ++out_of_order_;
-      if (e.lsn > retired_lsn_) retired_lsn_ = e.lsn;
-      if (e.bytes > retired_bytes_) retired_bytes_ = e.bytes;
-      r.advanced = true;
-    } else {
-      ++out_of_order_;
-    }
-    r.lsn = retired_lsn_;
-    r.bytes = retired_bytes_;
-    break;
-  }
-  while (!entries_.empty() && entries_.front().done) entries_.pop_front();
-  return r;
-}
-
-// ----------------------------------------------------------------- stage
-
 SyncStage::SyncStage(std::shared_ptr<DurabilityState> state, Options options)
     : state_(std::move(state)), opt_(std::move(options)) {
   if (opt_.max_batches_in_flight == 0) opt_.max_batches_in_flight = 1;
-  if (opt_.want_uring) {
-    const unsigned depth =
-        static_cast<unsigned>(opt_.max_batches_in_flight < 4
-                                  ? 4
-                                  : opt_.max_batches_in_flight);
-    ring_ = UringQueue::create(depth);
-  }
-  stats_.uring_active = ring_ != nullptr;
 }
 
 SyncStage::~SyncStage() {
@@ -208,27 +156,14 @@ void SyncStage::worker() {
     if (queue_.empty() && stop_) break;
 
     if (!queue_.empty()) {
-      // Take a group: the fallback engine coalesces everything queued into
-      // (at most) one barrier per fd; the uring engine keeps up to
-      // max_batches_in_flight discrete barriers concurrently in flight.
+      // Take everything queued: it coalesces into (at most) one barrier per
+      // fd run.
       std::deque<Job> group;
-      const std::size_t take =
-          ring_ ? std::min(queue_.size(), opt_.max_batches_in_flight)
-                : queue_.size();
-      for (std::size_t i = 0; i < take; ++i) {
-        group.push_back(queue_.front());
-        queue_.pop_front();
-      }
+      group.swap(queue_);
       executing_ += group.size();
       const bool skip = !error_.ok();
       lk.unlock();
-      if (!skip) {
-        if (ring_) {
-          run_uring_group(group);
-        } else {
-          run_fallback_group(group);
-        }
-      }
+      if (!skip) run_group(group);
       lk.lock();
       executing_ -= group.size();
       executed_ += group.size();
@@ -255,7 +190,7 @@ void SyncStage::fail_locked_unlocked(Status s) {
   state_->fail(std::move(s));
 }
 
-void SyncStage::run_fallback_group(std::deque<Job>& group) {
+void SyncStage::run_group(const std::deque<Job>& group) {
   // One fdatasync per contiguous same-fd run, targeting the run's last
   // (largest) job — everything earlier is covered by the same barrier.
   std::size_t i = 0;
@@ -289,65 +224,6 @@ void SyncStage::run_fallback_group(std::deque<Job>& group) {
     state_->retire(last.target_lsn, last.target_bytes);
     i = j + 1;
   }
-}
-
-void SyncStage::run_uring_group(std::deque<Job>& group) {
-  // The hook runs once ahead of the whole submission: every barrier in the
-  // group covers data written before this point, so one dependency sync
-  // orders all of them.
-  if (opt_.before_sync) {
-    if (auto ordered = opt_.before_sync(); !ordered.ok()) {
-      fail_locked_unlocked(std::move(ordered));
-      return;
-    }
-  }
-  for (const Job& job : group) {
-    const std::uint64_t id = ledger_.submit(job.target_lsn, job.target_bytes);
-    while (!ring_->push_fsync(job.fd, id)) {
-      if (!ring_->submit_and_wait(0)) {
-        fail_locked_unlocked(errno_error("io_uring_enter"));
-        ledger_.abandon();
-        return;
-      }
-    }
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  if (!ring_->submit_and_wait(static_cast<unsigned>(group.size()))) {
-    fail_locked_unlocked(errno_error("io_uring_enter"));
-    ledger_.abandon();
-    return;
-  }
-  std::uint64_t ooo = 0;
-  bool failed = false;
-  UringQueue::Completion c;
-  while (ledger_.outstanding() > 0) {
-    while (ring_->pop(c)) {
-      if (c.res < 0) {
-        errno = -c.res;
-        fail_locked_unlocked(errno_error("io_uring fsync"));
-        failed = true;
-      }
-      auto r = ledger_.complete(c.user_data);
-      if (!r.known) continue;
-      if (!r.advanced) ++ooo;
-      if (!failed && r.advanced) {
-        metrics().batch_records.record(r.lsn - last_retired_lsn_);
-        last_retired_lsn_ = r.lsn;
-        state_->retire(r.lsn, r.bytes);
-      }
-    }
-    if (ledger_.outstanding() > 0 && !ring_->submit_and_wait(1)) {
-      fail_locked_unlocked(errno_error("io_uring_enter"));
-      ledger_.abandon();
-      break;
-    }
-  }
-  metrics().fsync_ns.record(elapsed_ns(t0));
-  metrics().syncs.add(group.size());
-  metrics().out_of_order.add(ooo);
-  util::MutexLock lk(mu_);
-  stats_.barriers += group.size();
-  stats_.out_of_order += ooo;
 }
 
 void SyncStage::make_spare(std::string path, std::uint64_t bytes) {

@@ -8,19 +8,14 @@
 // accumulates and writes on appender threads while batch N's device barrier
 // is in flight here.
 //
-// Two engines retire barriers:
-//   - io_uring (NONREP_HAS_IOURING + runtime probe): IORING_OP_FSYNC SQEs,
-//     several barriers genuinely in flight; completions may arrive out of
-//     order and are retired via RetireLedger (an fsync covers every byte
-//     written before its submission, so completing a later-submitted barrier
-//     safely retires everything the earlier ones targeted).
-//   - worker-thread fdatasync loop (fallback, and the 1-core dev box):
-//     queued jobs for the same fd coalesce into one barrier per wakeup —
-//     classic group commit, just no longer on an appender's back.
+// The worker retires barriers by group commit: every job queued when it
+// wakes is taken at once, and a run of jobs for the same fd folds into one
+// fdatasync targeting the run's last (largest) job — an fdatasync covers
+// every byte written before it, so the earlier targets are retired too.
 //
-// The writer's before_sync hook runs on the worker, once per taken job
-// group, immediately before the barrier(s) it covers — this is what keeps
-// object-WAL-before-record-WAL ordering intact across in-flight batches.
+// The writer's before_sync hook runs on the worker immediately before every
+// fdatasync — this is what keeps object-WAL-before-record-WAL ordering
+// intact across in-flight batches.
 //
 // The stage also owns spare-segment preallocation: the worker fallocates
 // (FALLOC_FL_KEEP_SIZE — scan semantics require file size == content) a
@@ -44,56 +39,14 @@
 
 namespace nonrep::journal {
 
-/// Out-of-order completion bookkeeping for the io_uring engine, separated
-/// out so the ordering logic is unit-testable without a kernel ring.
-/// Barriers are submitted with monotonically non-decreasing targets; each
-/// submission gets an id, each completion retires the *maximum* target seen
-/// so far (late arrivals advance nothing and are counted).
-class RetireLedger {
- public:
-  /// Register a submitted barrier; returns its completion id.
-  std::uint64_t submit(std::uint64_t target_lsn, std::uint64_t target_bytes);
-
-  struct Retired {
-    std::uint64_t lsn = 0;    // watermark after this completion
-    std::uint64_t bytes = 0;
-    bool advanced = false;    // false: a late out-of-order arrival
-    bool known = false;       // false: id was never submitted
-  };
-  Retired complete(std::uint64_t id);
-
-  std::size_t outstanding() const { return outstanding_; }
-  std::uint64_t out_of_order() const { return out_of_order_; }
-  std::uint64_t retired_lsn() const { return retired_lsn_; }
-
-  /// Abandon every outstanding submission (submit failure / crash).
-  void abandon() { outstanding_ = 0; }
-
- private:
-  struct Entry {
-    std::uint64_t id = 0;
-    std::uint64_t lsn = 0;
-    std::uint64_t bytes = 0;
-    bool done = false;
-  };
-  std::deque<Entry> entries_;  // submission order
-  std::uint64_t next_id_ = 1;
-  std::size_t outstanding_ = 0;
-  std::uint64_t out_of_order_ = 0;
-  std::uint64_t retired_lsn_ = 0;
-  std::uint64_t retired_bytes_ = 0;
-};
-
 class SyncStage {
  public:
   struct Options {
-    /// Runs on the worker before every barrier group (see header comment).
+    /// Runs on the worker before every fdatasync (see header comment).
     std::function<Status()> before_sync = nullptr;
     /// Backpressure: request() blocks once this many barriers are queued or
-    /// executing. Also the io_uring submission depth.
+    /// executing.
     std::size_t max_batches_in_flight = 4;
-    /// Try the io_uring engine (falls back silently when unavailable).
-    bool want_uring = true;
   };
 
   SyncStage(std::shared_ptr<DurabilityState> state, Options options);
@@ -133,11 +86,9 @@ class SyncStage {
   struct Stats {
     std::uint64_t barriers = 0;            // device barriers issued
     std::uint64_t coalesced = 0;           // requests folded into one barrier
-    std::uint64_t out_of_order = 0;        // late uring completions
     std::uint64_t backpressure_waits = 0;  // request() calls that blocked
     std::uint64_t in_flight_peak = 0;      // max queued+executing barriers
     std::uint64_t spares_prepared = 0;
-    bool uring_active = false;
   };
   Stats stats() const;
 
@@ -152,14 +103,12 @@ class SyncStage {
   };
 
   void worker();
-  void run_fallback_group(std::deque<Job>& group);
-  void run_uring_group(std::deque<Job>& group);
+  void run_group(const std::deque<Job>& group);
   void fail_locked_unlocked(Status s);  // takes mu_ itself
   void make_spare(std::string path, std::uint64_t bytes);
 
   std::shared_ptr<DurabilityState> state_;
   Options opt_;
-  std::unique_ptr<class UringQueue> ring_;  // null: fallback engine
 
   mutable util::Mutex mu_{util::LockRank::kJournalSync, "journal.sync_stage"};
   util::CondVar cv_;       // worker wakeups
@@ -173,15 +122,14 @@ class SyncStage {
   Status error_ NONREP_GUARDED_BY(mu_);
 
   // Spare preallocation slot.
-  std::string spare_want_path_;   // non-empty: worker should prepare this
-  std::uint64_t spare_bytes_ = 0;
-  std::string spare_ready_path_;  // non-empty: spare_fd_ is ready for it
-  int spare_fd_ = -1;
+  std::string spare_want_path_ NONREP_GUARDED_BY(mu_);   // non-empty: worker should prepare this
+  std::uint64_t spare_bytes_ NONREP_GUARDED_BY(mu_) = 0;
+  std::string spare_ready_path_ NONREP_GUARDED_BY(mu_);  // non-empty: spare_fd_ is ready for it
+  int spare_fd_ NONREP_GUARDED_BY(mu_) = -1;
 
-  Stats stats_;
+  Stats stats_ NONREP_GUARDED_BY(mu_);
 
   // Worker-thread-only state (no locking needed).
-  RetireLedger ledger_;
   std::uint64_t last_retired_lsn_ = 0;
 
   std::thread thread_;

@@ -6,10 +6,9 @@
 // pipeline: append_async() encodes the frame, hands it to the OS according
 // to the sync policy, and returns an AppendTicket immediately; a dedicated
 // sync stage (journal/sync_stage.hpp) retires device barriers off-thread —
-// io_uring fsync completions where available, a worker-thread fdatasync
-// loop otherwise — and settles tickets in LSN order. Batch N+1 accumulates
-// and writes while batch N's barrier is in flight, so appenders never block
-// behind a leader's fdatasync.
+// a worker-thread fdatasync group commit — and settles tickets in LSN order.
+// Batch N+1 accumulates and writes while batch N's barrier is in flight, so
+// appenders never block behind a leader's fdatasync.
 //
 // Policy → pipeline mapping (what each policy means under the async API):
 //
@@ -65,17 +64,6 @@ enum class SyncPolicy : std::uint8_t {
   kEveryBatch = 1,
 };
 
-/// Which engine retires device barriers. kAuto probes io_uring at open and
-/// falls back to the worker-thread fdatasync loop; the probe (and kIoUring)
-/// degrade to the fallback when the kernel or sandbox says no. The
-/// NONREP_JOURNAL_SYNC_BACKEND environment variable ("uring" / "fallback")
-/// overrides this option — CI uses it to run both modes.
-enum class SyncBackend : std::uint8_t {
-  kAuto = 0,
-  kWorkerFdatasync = 1,
-  kIoUring = 2,
-};
-
 struct Options {
   std::string dir;
   std::uint64_t segment_max_bytes = 4ull << 20;
@@ -93,8 +81,6 @@ struct Options {
   /// this writer (calling into *other* writers, e.g. the object journal, is
   /// the intended use).
   std::function<Status()> before_sync = nullptr;
-  /// Barrier engine selection (see SyncBackend).
-  SyncBackend sync_backend = SyncBackend::kAuto;
   /// Pipeline depth: barriers queued or executing before append triggers
   /// block. Also bounds the kEveryBatch crash window.
   std::size_t max_batches_in_flight = 4;
@@ -162,14 +148,12 @@ class Writer {
     // Pipeline behavior.
     std::uint64_t batches_in_flight_peak = 0;  // barriers queued+executing
     std::uint64_t coalesced_barriers = 0;      // requests folded together
-    std::uint64_t out_of_order_retirements = 0;  // late uring completions
     std::uint64_t backpressure_waits = 0;      // triggers that blocked
     std::uint64_t ticket_waits = 0;            // DurableFuture::wait blocks
     std::uint64_t ticket_wait_ns = 0;          // total ns spent in them
     std::uint64_t spare_swaps = 0;             // rotations served by a spare
     std::uint64_t durable_bytes = 0;  // active-segment bytes known durable
                                       // (high-water across rotations)
-    bool uring_active = false;        // io_uring engine in use
   };
   Stats stats() const;
 

@@ -427,9 +427,10 @@ TEST_F(TornAsyncFixture, DanglingSuffixTruncatedToDurablePrefix) {
 }
 
 TEST_F(TornAsyncFixture, RecordTailShorterThanObjectJournalIsBenign) {
-  // The mirror image — barriers retired out of order can leave the object
-  // journal ahead of the record journal. Orphan objects are harmless; the
-  // record prefix loads with nothing dangling and nothing to truncate.
+  // The mirror image — the object WAL is synced before the record WAL, so
+  // a crash can leave the object journal ahead of the record journal.
+  // Orphan objects are harmless; the record prefix loads with nothing
+  // dangling and nothing to truncate.
   build(7);
   auto scan = journal::Segment::scan(record_tail);
   ASSERT_TRUE(scan.ok());

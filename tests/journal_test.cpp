@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -14,7 +13,6 @@
 #include "journal/format.hpp"
 #include "journal/reader.hpp"
 #include "journal/segment.hpp"
-#include "journal/sync_stage.hpp"
 #include "journal/writer.hpp"
 #include "util/crc32c.hpp"
 
@@ -498,58 +496,6 @@ TEST(Journal, SyncMakesBatchedRecordsDurable) {
 
 // ---- pipelined commit / durability tickets ----
 
-TEST(RetireLedger, InOrderCompletionsAdvance) {
-  RetireLedger l;
-  const auto a = l.submit(10, 100);
-  const auto b = l.submit(20, 200);
-  EXPECT_EQ(l.outstanding(), 2u);
-  auto ra = l.complete(a);
-  EXPECT_TRUE(ra.known);
-  EXPECT_TRUE(ra.advanced);
-  EXPECT_EQ(ra.lsn, 10u);
-  EXPECT_EQ(ra.bytes, 100u);
-  auto rb = l.complete(b);
-  EXPECT_TRUE(rb.advanced);
-  EXPECT_EQ(rb.lsn, 20u);
-  EXPECT_EQ(l.out_of_order(), 0u);
-  EXPECT_EQ(l.outstanding(), 0u);
-  EXPECT_EQ(l.retired_lsn(), 20u);
-}
-
-TEST(RetireLedger, OutOfOrderCompletionRetiresMaxTarget) {
-  RetireLedger l;
-  const auto a = l.submit(10, 100);
-  const auto b = l.submit(20, 200);
-  const auto c = l.submit(30, 300);
-  // The last-submitted barrier completes first: its fsync covered every byte
-  // the earlier two targeted, so the watermark jumps straight to 30.
-  auto rc = l.complete(c);
-  EXPECT_TRUE(rc.advanced);
-  EXPECT_EQ(rc.lsn, 30u);
-  EXPECT_EQ(rc.bytes, 300u);
-  // Late arrivals advance nothing.
-  auto ra = l.complete(a);
-  EXPECT_TRUE(ra.known);
-  EXPECT_FALSE(ra.advanced);
-  EXPECT_EQ(ra.lsn, 30u);
-  auto rb = l.complete(b);
-  EXPECT_FALSE(rb.advanced);
-  EXPECT_EQ(l.retired_lsn(), 30u);
-  EXPECT_EQ(l.outstanding(), 0u);
-  EXPECT_GE(l.out_of_order(), 2u);
-}
-
-TEST(RetireLedger, UnknownOrDuplicateIdIgnored) {
-  RetireLedger l;
-  auto r = l.complete(99);
-  EXPECT_FALSE(r.known);
-  EXPECT_FALSE(r.advanced);
-  const auto a = l.submit(5, 50);
-  EXPECT_TRUE(l.complete(a).known);
-  EXPECT_FALSE(l.complete(a).known);  // double completion
-  EXPECT_EQ(l.retired_lsn(), 5u);
-}
-
 TEST(Journal, AsyncAppendTicketsSettle) {
   const std::string dir = temp_dir("tickets");
   auto w = Writer::open({.dir = dir, .sync = SyncPolicy::kEveryRecord});
@@ -646,6 +592,10 @@ TEST(Journal, PipelineKeepsMultipleBatchesInFlight) {
   ASSERT_TRUE(w.value()->close().ok());
   const auto stats = w.value()->stats();
   EXPECT_GE(stats.batches_in_flight_peak, 2u);
+  // The four triggers fold into at most two fdatasyncs: the worker takes k
+  // jobs before the hook stalls and the other 4-k once it opens, so at
+  // least two requests ride on another's barrier whatever k is.
+  EXPECT_GE(stats.coalesced_barriers, 2u);
   EXPECT_GE(hook_entered.load(), 1);
   auto report = Reader::recover(dir, RecoverMode::kScanOnly);
   ASSERT_TRUE(report.ok());
@@ -680,18 +630,6 @@ TEST(Journal, RotationServedByPreallocatedSpare) {
   EXPECT_EQ(w2.value()->next_sequence(), 80u);
   ASSERT_TRUE(w2.value()->append(payload(80)).ok());
   ASSERT_TRUE(w2.value()->close().ok());
-}
-
-TEST(Journal, SyncBackendEnvOverrideForcesFallback) {
-  const std::string dir = temp_dir("env_backend");
-  ::setenv("NONREP_JOURNAL_SYNC_BACKEND", "fallback", 1);
-  auto w = Writer::open({.dir = dir, .sync = SyncPolicy::kEveryRecord});
-  ::unsetenv("NONREP_JOURNAL_SYNC_BACKEND");
-  ASSERT_TRUE(w.ok());
-  ASSERT_TRUE(w.value()->append(payload(0)).ok());
-  EXPECT_FALSE(w.value()->stats().uring_active);
-  ASSERT_TRUE(w.value()->close().ok());
-  EXPECT_TRUE(Reader::audit(dir).ok);
 }
 
 TEST(Journal, ClosedWriterRejectsAppends) {
