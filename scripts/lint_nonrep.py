@@ -20,6 +20,11 @@ Checks, over every .hpp/.cpp under src/:
    its Options structs only, so a caller (or a test) sees every knob that
    changes behavior, and no environment variable silently overrides one.
 
+4. No orphan lock ranks: every util::LockRank enumerator except kUnranked
+   must be named (LockRank::kName) by a lock somewhere in src/ outside
+   util/lock_discipline.{hpp,cpp}. A rank nothing uses documents an
+   acquisition order for a lock that no longer exists.
+
 Exit 0 when clean; prints one line per violation and exits 1 otherwise.
 """
 
@@ -62,6 +67,11 @@ HOSTILE_INPUT_PATHS = [
 # environment.
 ENV_KNOB = re.compile(r"\b(?:secure_)?getenv\s*\(")
 
+LOCK_RANK_HEADER = SRC / "util" / "lock_discipline.hpp"
+LOCK_RANK_ENUM = re.compile(r"enum class LockRank\b[^{]*\{(?P<body>.*?)\};", re.S)
+LOCK_RANK_ENUMERATOR = re.compile(r"\b(k\w+)\s*=")
+LOCK_RANK_USE = re.compile(r"\bLockRank::(k\w+)\b")
+
 
 def strip_comments_and_strings(text: str) -> str:
     """Blank out comments and string literals, preserving line structure."""
@@ -92,12 +102,14 @@ def strip_comments_and_strings(text: str) -> str:
 
 def main() -> int:
     violations: list[str] = []
+    used_ranks: set[str] = set()
     for path in sorted(SRC.rglob("*")):
         if path.suffix not in {".hpp", ".cpp"}:
             continue
         rel = path.relative_to(REPO).as_posix()
         code = strip_comments_and_strings(path.read_text(encoding="utf-8"))
         if path not in RAW_SYNC_ALLOWLIST:
+            used_ranks.update(LOCK_RANK_USE.findall(code))
             for lineno, line in enumerate(code.splitlines(), 1):
                 if RAW_SYNC.search(line):
                     violations.append(
@@ -117,6 +129,23 @@ def main() -> int:
                     f"{rel}:{lineno}: getenv in the library — add an Options "
                     "field instead of an environment knob"
                 )
+    header = strip_comments_and_strings(LOCK_RANK_HEADER.read_text(encoding="utf-8"))
+    enum = LOCK_RANK_ENUM.search(header)
+    if enum is None:
+        violations.append(f"{LOCK_RANK_HEADER.relative_to(REPO).as_posix()}: "
+                          "enum class LockRank not found")
+    else:
+        first_line = header.count("\n", 0, enum.start("body")) + 1
+        body = enum.group("body")
+        for match in LOCK_RANK_ENUMERATOR.finditer(body):
+            name = match.group(1)
+            if name == "kUnranked" or name in used_ranks:
+                continue
+            lineno = first_line + body.count("\n", 0, match.start())
+            violations.append(
+                f"{LOCK_RANK_HEADER.relative_to(REPO).as_posix()}:{lineno}: LockRank::{name} "
+                "is named by no lock in src/ — delete the orphan rank"
+            )
     for v in violations:
         print(v)
     if violations:

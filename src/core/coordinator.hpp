@@ -36,7 +36,7 @@ namespace nonrep::core {
 /// rank. The slice relevant here, outermost first: handler mutexes
 /// (kHandler: DirectInvocationServer/OptimisticTtp runs_mu_,
 /// B2BObjectController mu_) < MembershipService (kMembership) <
-/// EvidenceService leaf locks (kEvidenceRng/kEvidenceLog/kStateStore) <
+/// EvidenceService leaf locks (kEvidenceRng/kEvidenceLog/kObjectStore) <
 /// pki/crypto caches. So a handler mutex may be held across
 /// EvidenceService::issue/accept and membership reads, but must NEVER be
 /// held across Coordinator::deliver / deliver_request (the nested wait

@@ -24,7 +24,7 @@ std::optional<bool> subject_flag(BytesView subject, std::string_view expected_ta
 
 bool Adjudicator::verify_item(const RunId& run, const PresentedEvidence& item) const {
   if (item.token.run != run) return false;
-  const crypto::Digest expected = crypto::Sha256::hash(item.subject);
+  const crypto::Digest expected = store::state_digest(item.subject);
   if (!constant_time_equal(BytesView(expected.data(), expected.size()),
                            BytesView(item.token.subject.data(),
                                      item.token.subject.size()))) {

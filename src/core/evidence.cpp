@@ -111,12 +111,11 @@ Result<EvidenceToken> EvidenceService::issue(EvidenceType type, const RunId& run
   token.run = run;
   token.issuer = self_;
   token.issued_at = clock_->now();
-  token.subject = crypto::Sha256::hash(subject);
+  token.subject = states_->put(subject);
   auto sig = signer_->sign(token.tbs());
   if (!sig) return sig.error();
   token.signature = std::move(sig).take();
 
-  states_->put(subject);
   // Stage the token record and overlap its device barrier with the TSA
   // countersignature (a signing round-trip, the other expensive half of
   // issuance). Both receipts are settled before the token is handed out, so
@@ -140,7 +139,7 @@ Result<Bytes> EvidenceService::timestamp_record(const RunId& run, EvidenceType t
 }
 
 Status EvidenceService::verify(const EvidenceToken& token, BytesView subject) const {
-  const crypto::Digest expected = crypto::Sha256::hash(subject);
+  const crypto::Digest expected = store::state_digest(subject);
   if (!constant_time_equal(BytesView(expected.data(), expected.size()),
                            BytesView(token.subject.data(), token.subject.size()))) {
     return Error::make("evidence.subject_mismatch",
@@ -181,7 +180,6 @@ EvidenceService::LogAuditReport EvidenceService::audit_log(
     const store::EvidenceLog& log, const LogAuditOptions& options) const {
   LogAuditReport report;
   const std::vector<store::LogRecord>& records = log.records();
-  const std::shared_ptr<store::ObjectStore>& store = log.objects();
   const TimeMs at = clock_->now();
   const std::uint64_t epoch = credentials_->trust_epoch();
   const std::uint64_t memo_hits_before = credentials_->memo_hits();
@@ -198,57 +196,23 @@ EvidenceService::LogAuditReport EvidenceService::audit_log(
 
     // Probe the memo by the segment's tail chain digest. chain_i commits to
     // every record before it, so one match (under the current trust epoch,
-    // at a covered time, with the same span) re-establishes the whole
-    // segment — and its prefix — without hashing or signature work.
+    // at a covered time, with the same span) vouches for the segment's
+    // token decode and signature work. It does not vouch for the bytes: the
+    // key was read from the very records it covers, so the loop below
+    // recomputes the hash chain either way — without that rehash a tampered
+    // interior record paired with its stale tail digest would pass.
     bool memoized = false;
     {
       util::ReadLock lk(audit_mu_);
       auto it = segment_memo_.find(tail.chain);
-      if (it != segment_memo_.end() && it->second.epoch == epoch &&
-          it->second.window.covers(at) &&
-          it->second.first_sequence == records[begin].sequence &&
-          it->second.record_count == end - begin &&
-          (!store || store->contains(it->second.segment_object))) {
-        memoized = true;
-      }
-    }
-    if (memoized) {
-      // Memo hit: all token decode + signature work is skipped. The hash
-      // chain is still recomputed unless the caller opted into
-      // trust_memory — the memo key (the tail digest) was read from the
-      // very records it vouches for, so without the rehash a tampered
-      // interior record paired with its stale tail digest would pass.
-      for (std::size_t i = begin; i < end && verdict.ok(); ++i) {
-        const store::LogRecord& rec = records[i];
-        if (rec.sequence != i) {
-          verdict = Error::make("log.sequence_gap", "at index " + std::to_string(i));
-          break;
-        }
-        if (!options.trust_memory) {
-          const crypto::Digest expect = store::chain_digest(prev, rec);
-          if (!constant_time_equal(BytesView(expect.data(), expect.size()),
-                                   BytesView(rec.chain.data(), rec.chain.size()))) {
-            verdict = Error::make("log.chain_mismatch", "record " + std::to_string(i));
-            break;
-          }
-        }
-        prev = rec.chain;
-        if (rec.kind.starts_with("token.")) ++report.token_records;
-        ++report.records;
-      }
-      if (!verdict.ok()) break;
-      ++report.segments_memoized;
-      continue;
+      memoized = it != segment_memo_.end() && it->second.epoch == epoch &&
+                 it->second.window.covers(at) &&
+                 it->second.first_sequence == records[begin].sequence &&
+                 it->second.record_count == end - begin;
     }
 
-    // Cold path: recompute the chain, verify every token signature through
-    // the object memo, build the chain-segment DAG node, memoize.
     pki::CredentialManager::ValidityWindow window{0, std::numeric_limits<TimeMs>::max()};
-    BinaryWriter seg;
-    seg.bytes(crypto::digest_bytes(prev));
-    seg.u64(records[begin].sequence);
-    seg.u32(static_cast<std::uint32_t>(end - begin));
-    for (std::size_t i = begin; i < end && verdict.ok(); ++i) {
+    for (std::size_t i = begin; i < end; ++i) {
       const store::LogRecord& rec = records[i];
       if (rec.sequence != i) {
         verdict = Error::make("log.sequence_gap", "at index " + std::to_string(i));
@@ -261,10 +225,9 @@ EvidenceService::LogAuditReport EvidenceService::audit_log(
         break;
       }
       prev = rec.chain;
-      seg.bytes(crypto::digest_bytes(rec.chain));
-      seg.bytes(crypto::digest_bytes(rec.object));
-      if (rec.kind.starts_with("token.")) {
-        ++report.token_records;
+      const bool is_token = rec.kind.starts_with("token.");
+      if (is_token) ++report.token_records;
+      if (is_token && !memoized) {
         auto token = EvidenceToken::decode(rec.payload);
         if (!token) {
           verdict = Error::make("audit.bad_token",
@@ -287,16 +250,15 @@ EvidenceService::LogAuditReport EvidenceService::audit_log(
       ++report.records;
     }
     if (!verdict.ok()) break;
-
-    const Bytes seg_payload = std::move(seg).take();
-    const store::ObjectId seg_oid =
-        store ? store->put(store::kTypeChainSegment, seg_payload).id
-              : store::object_id(store::kTypeChainSegment, seg_payload);
+    if (memoized) {
+      ++report.segments_memoized;
+      continue;
+    }
 
     util::WriteLock lk(audit_mu_);
     if (segment_memo_.size() >= kSegmentMemoMax) segment_memo_.clear();
     segment_memo_.insert_or_assign(
-        tail.chain, SegmentMemo{epoch, window, seg_oid, records[begin].sequence,
+        tail.chain, SegmentMemo{epoch, window, records[begin].sequence,
                                 static_cast<std::uint64_t>(end - begin)});
   }
 

@@ -66,7 +66,7 @@ struct EvidenceToken {
   RunId run;
   PartyId issuer;
   TimeMs issued_at = 0;
-  crypto::Digest subject{};  // SHA-256 of the canonical subject bytes
+  crypto::Digest subject{};  // store::state_digest of the canonical subject bytes
   Bytes signature;           // issuer's signature over tbs()
 
   Bytes tbs() const;
@@ -142,17 +142,6 @@ class EvidenceService {
   struct LogAuditOptions {
     /// Records per chain segment (memoization granularity).
     std::size_t segment_records = 1024;
-    /// Memo-hit behaviour. false (the default, and the sound choice): a
-    /// memoized segment still has its SHA-256 hash chain recomputed from
-    /// the in-memory records — only the token decode + signature work is
-    /// skipped — so an in-process mutation of an already-audited record is
-    /// caught on the next pass. true: a memo hit trusts the in-memory
-    /// bytes and runs a structural sweep only (sequence continuity). That
-    /// remains sound against on-disk tampering — a reload decodes fresh
-    /// records whose tail digest misses the memo — but a write through
-    /// this process's own heap would go unnoticed; opt in only where the
-    /// audit loop is hot and the process itself is the trust boundary.
-    bool trust_memory = false;
   };
 
   struct LogAuditReport {
@@ -172,18 +161,14 @@ class EvidenceService {
   ///
   /// Verified segments are memoized by their *tail* chain digest, which by
   /// chain construction commits to every record before it: a re-audit of an
-  /// unchanged log skips all token decoding and signature work, and — the
-  /// memo key is itself read from the records under audit, so it proves
-  /// nothing by itself — recomputes just the hash chain to tie the bytes
-  /// to the key (skippable via LogAuditOptions::trust_memory, see its
-  /// caveats). Entries carry the trust epoch and the
-  /// segment's intersected validity window, so a root/cert/CRL change or an
-  /// audit time outside the window falls back to the cold path. When the
-  /// log has an object store, each cold-verified segment is interned as a
-  /// `kTypeChainSegment` DAG node (prev chain, then per record: chain
-  /// digest + payload object id) and the memo insists the node is still
-  /// present. Like every audit-side accessor this reads log.records()
-  /// unlocked — callers run it on a quiescent log.
+  /// unchanged log skips all token decoding and signature work. The memo
+  /// key is itself read from the records under audit, so it proves nothing
+  /// by itself: every pass recomputes the hash chain, which ties the bytes
+  /// to the key. Entries carry the trust epoch and the segment's
+  /// intersected validity window, so a root/cert/CRL change or an audit
+  /// time outside the window falls back to the cold path. Like every
+  /// audit-side accessor this reads log.records() unlocked — callers run
+  /// it on a quiescent log.
   LogAuditReport audit_log(const store::EvidenceLog& log,
                            const LogAuditOptions& options) const;
   LogAuditReport audit_log(const store::EvidenceLog& log) const {
@@ -209,7 +194,6 @@ class EvidenceService {
   struct SegmentMemo {
     std::uint64_t epoch = 0;
     pki::CredentialManager::ValidityWindow window;
-    store::ObjectId segment_object{};
     std::uint64_t first_sequence = 0;
     std::uint64_t record_count = 0;
   };

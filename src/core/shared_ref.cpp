@@ -1,5 +1,6 @@
 #include "core/shared_ref.hpp"
 
+#include "store/state_store.hpp"
 #include "util/hex.hpp"
 
 namespace nonrep::core {
@@ -13,7 +14,7 @@ Status attach_shared_reference(container::Invocation& inv,
                                const ObjectId& object) {
   auto state = controller.get(object);
   if (!state) return state.error();
-  const crypto::Digest digest = crypto::Sha256::hash(state.value().state);
+  const crypto::Digest digest = store::state_digest(state.value().state);
   inv.context[context_key(object)] =
       std::to_string(state.value().version) + ":" + to_hex(crypto::digest_bytes(digest));
   return Status::ok_status();
@@ -55,7 +56,7 @@ Status verify_shared_reference(const container::Invocation& inv,
                        "caller referenced v" + std::to_string(ref.value().version) +
                            ", local replica is v" + std::to_string(state.value().version));
   }
-  const crypto::Digest local_digest = crypto::Sha256::hash(state.value().state);
+  const crypto::Digest local_digest = store::state_digest(state.value().state);
   if (!constant_time_equal(BytesView(local_digest.data(), local_digest.size()),
                            BytesView(ref.value().state_digest.data(),
                                      ref.value().state_digest.size()))) {

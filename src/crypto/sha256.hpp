@@ -17,9 +17,9 @@ inline constexpr std::size_t kSha256DigestSize = 32;
 
 using Digest = std::array<std::uint8_t, kSha256DigestSize>;
 
-/// Hasher for digest-keyed containers, shared by the state store, the
-/// object store and the verification memo-caches. The digest is uniform
-/// SHA-256 output, so its first word is already a perfectly mixed hash.
+/// Hasher for digest-keyed containers, shared by the object store and the
+/// verification memo-caches. The digest is uniform SHA-256 output, so its
+/// first word is already a perfectly mixed hash.
 struct DigestHash {
   std::size_t operator()(const Digest& d) const noexcept {
     std::size_t h;

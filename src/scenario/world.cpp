@@ -18,7 +18,6 @@ World::World(std::uint64_t seed, std::size_t rsa_bits)
   ca_ = std::make_unique<pki::CertificateAuthority>(PartyId("ca:root"), ca_signer, 0,
                                                     kFarFuture);
   revocation_ = std::make_unique<pki::RevocationAuthority>(PartyId("ca:root"), ca_signer);
-  objects_->put(store::kTypeCert, ca_->certificate().encode());
 }
 
 Party& World::add_party(const std::string& name, net::ReliableConfig reliable,
@@ -37,9 +36,7 @@ Party& World::add_party(const std::string& name, net::ReliableConfig reliable,
   auto root_ok = party->credentials->add_trusted_root(ca_->certificate());
   (void)root_ok;
   party->credentials->add_certificate(party->certificate);
-  // Cross-register certificates with everyone already in the world. The
-  // cert itself lands in the fleet store once, however many parties file it.
-  objects_->put(store::kTypeCert, party->certificate.encode());
+  // Cross-register certificates with everyone already in the world.
   for (auto& other : parties_) {
     other->credentials->add_certificate(party->certificate);
     party->credentials->add_certificate(other->certificate);

@@ -59,9 +59,8 @@ class World {
   void broadcast_crl();
 
   /// The world-wide content-addressed object store: every party's evidence
-  /// log interns through it, and every certificate is filed in it, so a
-  /// token accepted by N parties (or a cert trusted by all of them) is held
-  /// once for the whole fleet.
+  /// log interns through it, so a token accepted by N parties is held once
+  /// for the whole fleet.
   const std::shared_ptr<store::ObjectStore>& objects() const noexcept { return objects_; }
 
   std::shared_ptr<SimClock> clock;

@@ -72,20 +72,12 @@ ObjectId object_id(std::uint32_t typesig, BytesView payload) {
   return h.finish();
 }
 
-ObjectStore::ObjectStore(std::size_t shard_count) {
-  std::size_t n = 1;
-  while (n < shard_count) n <<= 1;
-  shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
-  shard_mask_ = n - 1;
-}
-
 ObjectStore::PutResult ObjectStore::put(std::uint32_t typesig, BytesView payload) {
   PutResult out;
   out.id = object_id(typesig, payload);  // hash outside the lock
   logical_bytes_.fetch_add(payload.size(), std::memory_order_relaxed);
   store_metrics().puts.add();
-  Shard& shard = shard_for(out.id);
+  Shard& shard = shards_[shard_index(out.id)];
   util::MutexLock lk(shard.mu);
   auto [it, inserted] = shard.objects.try_emplace(out.id);
   if (inserted) {
@@ -102,7 +94,7 @@ ObjectStore::PutResult ObjectStore::put(std::uint32_t typesig, BytesView payload
 }
 
 Result<Bytes> ObjectStore::get(const ObjectId& id, std::uint32_t expected_typesig) const {
-  Shard& shard = shard_for(id);
+  const Shard& shard = shards_[shard_index(id)];
   util::MutexLock lk(shard.mu);
   auto it = shard.objects.find(id);
   if (it == shard.objects.end()) {
@@ -117,7 +109,7 @@ Result<Bytes> ObjectStore::get(const ObjectId& id, std::uint32_t expected_typesi
 }
 
 Result<std::uint32_t> ObjectStore::typesig_of(const ObjectId& id) const {
-  Shard& shard = shard_for(id);
+  const Shard& shard = shards_[shard_index(id)];
   util::MutexLock lk(shard.mu);
   auto it = shard.objects.find(id);
   if (it == shard.objects.end()) {
@@ -127,25 +119,25 @@ Result<std::uint32_t> ObjectStore::typesig_of(const ObjectId& id) const {
 }
 
 bool ObjectStore::contains(const ObjectId& id) const {
-  Shard& shard = shard_for(id);
+  const Shard& shard = shards_[shard_index(id)];
   util::MutexLock lk(shard.mu);
   return shard.objects.contains(id);
 }
 
 std::size_t ObjectStore::size() const {
   std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    util::MutexLock lk(shard->mu);
-    n += shard->objects.size();
+  for (const Shard& shard : shards_) {
+    util::MutexLock lk(shard.mu);
+    n += shard.objects.size();
   }
   return n;
 }
 
 std::uint64_t ObjectStore::stored_bytes() const {
   std::uint64_t n = 0;
-  for (const auto& shard : shards_) {
-    util::MutexLock lk(shard->mu);
-    n += shard->stored_bytes;
+  for (const Shard& shard : shards_) {
+    util::MutexLock lk(shard.mu);
+    n += shard.stored_bytes;
   }
   return n;
 }

@@ -1,8 +1,8 @@
 // Content-addressed, typed evidence object store — the dedup layer under
 // the evidence stack.
 //
-// Evidence is highly repetitive: the same tokens, certificates and chain
-// segments recur across runs and across the parties of a fleet. An object
+// Evidence is highly repetitive: the same tokens and subject states recur
+// across runs and across the parties of a fleet. An object
 // is a `{typesig, size}`-headered payload identified by the SHA-256 digest
 // of its full encoding (header included, so the type is part of the
 // identity — the same payload filed under two types is two objects).
@@ -16,22 +16,22 @@
 //   |   u32   |  u64   |  size B   |
 //   +---------+--------+-----------+
 //
-// Concurrency follows the StateStore conventions: lock-striped shards keyed
-// by the digest's last word (shard choice and in-shard bucket placement use
-// disjoint digest slices), so puts and gets from party threads and delivery
-// strands touch exactly one shard mutex. The dedup counters are atomics.
+// Concurrency: 16 lock-striped shards keyed by the digest's last word
+// (uniform SHA-256 output, so striping is balanced by construction; shard
+// choice and in-shard bucket placement use disjoint digest slices), so puts
+// and gets from party threads and delivery strands touch exactly one shard
+// mutex and nothing holds two shards at once. The dedup counters are atomics.
 // Objects are never removed or evicted: a stored payload (and its id) stays
 // valid for the store's lifetime, which is what lets the journal backend
 // and audit walks resolve references without re-checking liveness.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
+#include <cstring>
 #include <string>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "util/lock_discipline.hpp"
 #include "crypto/sha256.hpp"
@@ -54,9 +54,8 @@ constexpr std::uint32_t make_typesig(char a, char b, char c, char d) {
 /// The evidence stack's object types.
 inline constexpr std::uint32_t kTypeToken = make_typesig('t', 'o', 'k', ' ');      // evidence token
 inline constexpr std::uint32_t kTypeTimestamp = make_typesig('t', 's', 'a', ' ');  // TSA countersignature
-inline constexpr std::uint32_t kTypeCert = make_typesig('c', 'r', 't', ' ');       // certificate
+inline constexpr std::uint32_t kTypeState = make_typesig('s', 't', 'a', ' ');      // subject state
 inline constexpr std::uint32_t kTypeBlob = make_typesig('b', 'l', 'b', ' ');       // untyped payload
-inline constexpr std::uint32_t kTypeChainSegment = make_typesig('s', 'e', 'g', ' ');  // audited chain segment
 
 /// Printable form of a typesig ("tok ", or a hex rendering for bytes that
 /// are not printable ASCII).
@@ -81,11 +80,6 @@ ObjectId object_id(std::uint32_t typesig, BytesView payload);
 
 class ObjectStore {
  public:
-  static constexpr std::size_t kDefaultShards = 16;
-
-  /// `shard_count` is rounded up to a power of two (mask indexing).
-  explicit ObjectStore(std::size_t shard_count = kDefaultShards);
-
   struct PutResult {
     ObjectId id{};
     bool fresh = false;  // true when this call stored the object
@@ -105,7 +99,6 @@ class ObjectStore {
 
   bool contains(const ObjectId& id) const;
   std::size_t size() const;
-  std::size_t shard_count() const noexcept { return shards_.size(); }
 
   /// Unique payload bytes held (one copy per distinct object).
   std::uint64_t stored_bytes() const;
@@ -135,16 +128,16 @@ class ObjectStore {
     std::uint64_t stored_bytes NONREP_GUARDED_BY(mu) = 0;
   };
 
-  Shard& shard_for(const ObjectId& id) const {
+  static std::size_t shard_index(const ObjectId& id) {
     // Mix with a different slice of the digest than the in-shard hash uses
     // so shard selection and bucket placement stay independent.
     std::size_t h;
     std::memcpy(&h, id.data() + crypto::kSha256DigestSize - sizeof(h), sizeof(h));
-    return *shards_[h & shard_mask_];
+    return h % kShards;
   }
 
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::size_t shard_mask_ = 0;
+  static constexpr std::size_t kShards = 16;
+  std::array<Shard, kShards> shards_;
   std::atomic<std::uint64_t> logical_bytes_{0};
   std::atomic<std::uint64_t> dedup_hits_{0};
 };

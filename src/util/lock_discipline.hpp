@@ -117,7 +117,6 @@ enum class LockRank : std::uint16_t {
   kEvidenceAudit = 400,  // EvidenceService audit segment memo
   kEvidenceRng = 410,    // EvidenceService run-id DRBG
   kEvidenceLog = 420,    // store::EvidenceLog record chain
-  kStateStore = 430,     // store::StateStore stripes (multi, address order)
   kObjectStore = 440,    // store::ObjectStore stripes (multi, address order)
 
   // -- Tier 4: PKI + crypto (trust_mu_ -> cache_mu_/memo_mu_ -> signer ->

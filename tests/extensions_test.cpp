@@ -92,8 +92,7 @@ TEST(ForwardSecureSigner, ExhaustionSurfacesCleanly) {
 
 TEST(EvidencePersistence, LogSurvivesRestartAndContinuesChain) {
   namespace fs = std::filesystem;
-  const std::string dir = (fs::temp_directory_path() / "nonrep_restart_test").string();
-  fs::remove_all(dir);
+  const std::string dir = test::temp_dir("restart_test");
   auto clock = std::make_shared<SimClock>(100);
   // Each "process" opens the journal with a fresh store, rebuilt from disk.
   auto open_log = [&] {

@@ -177,9 +177,7 @@ struct JournalCorruptionFixture : ::testing::Test {
   std::vector<std::uint64_t> data_frame_ends;
 
   void SetUp() override {
-    namespace fs = std::filesystem;
-    dir = (fs::temp_directory_path() / "nonrep_fi_journal").string();
-    fs::remove_all(dir);
+    dir = test::temp_dir("fi_journal");
     auto w = journal::Writer::open(
         {.dir = dir, .sync = journal::SyncPolicy::kEveryBatch, .batch_records = 4});
     ASSERT_TRUE(w.ok());
@@ -269,9 +267,7 @@ TEST_F(JournalCorruptionFixture, TruncationAtEveryOffsetKeepsPrefixOnly) {
 }
 
 TEST_F(FailureFixture, EndToEndRunSurvivesTornWriteAndAudits) {
-  namespace fs = std::filesystem;
-  const std::string jdir = (fs::temp_directory_path() / "nonrep_fi_e2e_journal").string();
-  fs::remove_all(jdir);
+  const std::string jdir = test::temp_dir("fi_e2e_journal");
 
   // A client whose evidence log is journal-backed performs a real
   // non-repudiable exchange.
@@ -367,9 +363,7 @@ struct TornAsyncFixture : ::testing::Test {
   // process that died with its WAL tails unsealed. File surgery afterwards
   // emulates what power loss does to each journal's un-barriered suffix.
   void build(int records, std::uint64_t segment_max_bytes = 4ull << 20) {
-    namespace fs = std::filesystem;
-    dir = (fs::temp_directory_path() / "nonrep_fi_torn_async").string();
-    fs::remove_all(dir);
+    dir = test::temp_dir("fi_torn_async");
     auto store = std::make_shared<store::ObjectStore>();
     auto opened = store::JournalLogBackend::open(record_options(segment_max_bytes), store);
     ASSERT_TRUE(opened.ok()) << opened.error().detail;

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <thread>
 
+#include "common.hpp"
 #include "crypto/merkle.hpp"
 #include "journal/format.hpp"
 #include "journal/reader.hpp"
@@ -21,11 +22,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string temp_dir(const std::string& name) {
-  const std::string dir = (fs::temp_directory_path() / ("nonrep_journal_" + name)).string();
-  fs::remove_all(dir);
-  return dir;
-}
+std::string temp_dir(const std::string& name) { return test::temp_dir("journal_" + name); }
 
 Bytes payload(int i, std::size_t size = 24) {
   Bytes p(size, static_cast<std::uint8_t>(i));

@@ -70,8 +70,8 @@ void held_across_deliver_body() {
 
 void stripe_against_address_order_body() {
   LockTraits multi{.deliver_safe = false, .multi = true};
-  Mutex s0{LockRank::kStateStore, "lockdep_test.stripe", multi};
-  Mutex s1{LockRank::kStateStore, "lockdep_test.stripe", multi};
+  Mutex s0{LockRank::kObjectStore, "lockdep_test.stripe", multi};
+  Mutex s1{LockRank::kObjectStore, "lockdep_test.stripe", multi};
   Mutex& lo = (&s0 < &s1) ? s0 : s1;
   Mutex& hi = (&s0 < &s1) ? s1 : s0;
   MutexLock a(hi);
@@ -123,8 +123,8 @@ TEST(LockdepTest, OrderedRanksNestQuietly) {
 
 TEST(LockdepTest, StripeNestingInAddressOrderIsLegal) {
   LockTraits multi{.deliver_safe = false, .multi = true};
-  Mutex s0{LockRank::kStateStore, "lockdep_test.stripe_ok", multi};
-  Mutex s1{LockRank::kStateStore, "lockdep_test.stripe_ok", multi};
+  Mutex s0{LockRank::kObjectStore, "lockdep_test.stripe_ok", multi};
+  Mutex s1{LockRank::kObjectStore, "lockdep_test.stripe_ok", multi};
   Mutex& lo = (&s0 < &s1) ? s0 : s1;
   Mutex& hi = (&s0 < &s1) ? s1 : s0;
   MutexLock a(lo);

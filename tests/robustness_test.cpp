@@ -73,7 +73,7 @@ TEST_F(RobustnessFixture, RandomSignatureNeverAccepted) {
     token.run = RunId("forged-" + std::to_string(i));
     token.issuer = client->id;
     token.issued_at = world.clock->now();
-    token.subject = crypto::Sha256::hash(request_subject(inv));
+    token.subject = store::state_digest(request_subject(inv));
     token.signature = rng.generate(64);  // random "signature"
 
     ProtocolMessage m1;
@@ -84,7 +84,10 @@ TEST_F(RobustnessFixture, RandomSignatureNeverAccepted) {
     m1.body = container::encode_invocation(inv);
     m1.tokens.push_back(token);
     auto reply = client->coordinator->deliver_request("server", m1, 1000);
-    EXPECT_FALSE(reply.ok()) << i;
+    ASSERT_FALSE(reply.ok()) << i;
+    // The subject digest is genuine, so the rejection must come from the
+    // signature check this test exists for.
+    EXPECT_EQ(reply.error().code, "pki.signature_mismatch") << i;
   }
   EXPECT_EQ(container.executions(), 0u);
 }

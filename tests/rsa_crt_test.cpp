@@ -124,26 +124,6 @@ TEST(RsaCrt, PrivateKeyRoundTripV2) {
             rsa_sign(key, to_bytes("round trip")));
 }
 
-TEST(RsaCrt, DecodesLegacyV1Format) {
-  // Hand-build a version-1 (n, e, d) blob, as written by pre-CRT builds.
-  const RsaPrivateKey key = KnownKey::make();
-  BinaryWriter w;
-  w.u8(1);
-  w.bytes(key.pub.n.to_bytes_be());
-  w.u32(key.pub.e);
-  w.bytes(key.d.to_bytes_be());
-  auto decoded = RsaPrivateKey::decode(std::move(w).take());
-  ASSERT_TRUE(decoded.ok()) << decoded.error().code;
-  EXPECT_FALSE(decoded.value().has_crt());
-  // Legacy keys sign through the full-width path — same bytes.
-  EXPECT_EQ(to_hex(rsa_sign(decoded.value(), to_bytes(KnownKey::kMsg))),
-            KnownKey::kSigHex);
-  // And encode() of a legacy key re-emits the v1 format.
-  auto reencoded = RsaPrivateKey::decode(decoded.value().encode());
-  ASSERT_TRUE(reencoded.ok());
-  EXPECT_FALSE(reencoded.value().has_crt());
-}
-
 TEST(RsaCrt, DecodeRejectsBadInput) {
   EXPECT_FALSE(RsaPrivateKey::decode(to_bytes("junk")).ok());
   EXPECT_FALSE(RsaPrivateKey::decode(Bytes{}).ok());
@@ -152,6 +132,17 @@ TEST(RsaCrt, DecodeRejectsBadInput) {
   BinaryWriter w;
   w.u8(99);
   EXPECT_FALSE(RsaPrivateKey::decode(std::move(w).take()).ok());
+
+  // A version-1 (n, e, d) blob without CRT parameters: no longer a format.
+  const RsaPrivateKey known = KnownKey::make();
+  BinaryWriter v1;
+  v1.u8(1);
+  v1.bytes(known.pub.n.to_bytes_be());
+  v1.u32(known.pub.e);
+  v1.bytes(known.d.to_bytes_be());
+  auto legacy = RsaPrivateKey::decode(std::move(v1).take());
+  ASSERT_FALSE(legacy.ok());
+  EXPECT_EQ(legacy.error().code, "rsa.bad_key");
 
   // v2 with CRT primes that do not multiply to n.
   RsaPrivateKey key = KnownKey::make();

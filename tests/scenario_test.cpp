@@ -7,18 +7,11 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "common.hpp"
 #include "scenario/scenario.hpp"
 
 namespace nonrep::scenario {
 namespace {
-
-std::string fresh_dir(const std::string& tag) {
-  auto dir = std::filesystem::temp_directory_path() /
-             ("nonrep-scenario-" + tag + "-" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
 
 TEST(ScenarioEngineTest, FairExchangeWaveAllRunsAccountedFor) {
   ScenarioConfig config;
@@ -116,7 +109,7 @@ TEST(ScenarioEngineTest, JournalBackedPartiesPersistTheWave) {
   config.ops_per_party = 2;
   config.seed = 15;
   config.journal_backed = true;
-  config.journal_dir = fresh_dir("journal");
+  config.journal_dir = test::temp_dir("scenario_journal");
 
   {
     ScenarioEngine engine(config);

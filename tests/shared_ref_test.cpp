@@ -39,7 +39,7 @@ TEST_F(SharedRefFixture, AttachAndParseRoundTrip) {
   auto ref = shared_reference(inv, kObj);
   ASSERT_TRUE(ref.ok());
   EXPECT_EQ(ref.value().version, 1u);
-  EXPECT_EQ(ref.value().state_digest, crypto::Sha256::hash(to_bytes("shared-v1")));
+  EXPECT_EQ(ref.value().state_digest, store::state_digest(to_bytes("shared-v1")));
 }
 
 TEST_F(SharedRefFixture, ReceiverAcceptsMatchingReference) {

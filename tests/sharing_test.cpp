@@ -147,7 +147,7 @@ TEST_F(SharingFixture, AgreedStateReconstructibleFromStore) {
   ASSERT_TRUE(nodes[0].controller->propose_update(kSpec, to_bytes("ok:v2")).ok());
   world.network.run();
   // §3.4: the state digest in evidence maps back to stored state bytes.
-  const crypto::Digest d = crypto::Sha256::hash(to_bytes("ok:v2"));
+  const crypto::Digest d = store::state_digest(to_bytes("ok:v2"));
   for (auto& node : nodes) {
     auto stored = node.party->states->get(d);
     ASSERT_TRUE(stored.ok());
