@@ -1,6 +1,6 @@
 // Ablations over the design choices DESIGN.md calls out:
-//  A1 signature scheme in the exchange: RSA-512 / RSA-1024 / forward-secure
-//     Merkle (hash-based) — the flexibility §3.1 claims for interceptors.
+//  A1 RSA key size in the exchange: RSA-512 / RSA-1024, both through the
+//     crypto::Signer seam that keeps interceptors mechanism-neutral (§3.1).
 //  A2 TSA countersigning on/off (the [25]-motivated trade-off).
 //  A3 reliable-channel retry interval under loss (latency vs messages).
 //  A4 evidence-log backend: memory vs journal with an fdatasync per record
@@ -35,7 +35,7 @@ struct AblationParty {
 };
 
 struct AblationRig {
-  enum class Scheme { kRsa512, kRsa1024, kMerkle };
+  enum class Scheme { kRsa512, kRsa1024 };
 
   explicit AblationRig(Scheme scheme, bool with_tsa = false,
                        bool durable_log = false)
@@ -71,9 +71,6 @@ struct AblationRig {
         return std::make_shared<crypto::RsaSigner>(crypto::rsa_generate(rng, 512));
       case Scheme::kRsa1024:
         return std::make_shared<crypto::RsaSigner>(crypto::rsa_generate(rng, 1024));
-      case Scheme::kMerkle:
-        // height 12: 4096 one-time signatures per key.
-        return crypto::MerkleSchemeSigner::create(rng, 12).take();
     }
     return nullptr;
   }
@@ -157,7 +154,6 @@ void BM_Ablation_Scheme(benchmark::State& state) {
 BENCHMARK(BM_Ablation_Scheme)
     ->Arg(0)  // RSA-512
     ->Arg(1)  // RSA-1024
-    ->Arg(2)  // Merkle hash-based (forward secure)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_Ablation_Tsa(benchmark::State& state) {

@@ -1,14 +1,12 @@
 // P1 — §6: "the computational overhead of cryptographic algorithms".
 // Sign/verify/hash costs for every primitive the interceptors use, across
-// RSA key sizes and the hash-based (forward-secure) Merkle scheme.
+// RSA key sizes.
 #include <benchmark/benchmark.h>
 
 #include <map>
-#include <memory>
 
 #include "crypto/drbg.hpp"
 #include "crypto/hmac.hpp"
-#include "crypto/merkle.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
 
@@ -95,69 +93,5 @@ void BM_RsaKeygen(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RsaKeygen)->Arg(512)->Arg(1024)->Unit(benchmark::kMillisecond);
-
-void BM_LamportSign(benchmark::State& state) {
-  Drbg rng(to_bytes("bench-lamport"));
-  const LamportKeyPair kp = lamport_generate(rng);
-  const Bytes msg = to_bytes("one-time message");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(lamport_sign(kp.priv, msg));
-  }
-  state.counters["sig_bytes"] = 256 * 32;
-}
-BENCHMARK(BM_LamportSign)->Unit(benchmark::kMicrosecond);
-
-void BM_LamportVerify(benchmark::State& state) {
-  Drbg rng(to_bytes("bench-lamport-v"));
-  const LamportKeyPair kp = lamport_generate(rng);
-  const Bytes msg = to_bytes("one-time message");
-  const Bytes sig = lamport_sign(kp.priv, msg);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(lamport_verify(kp.pub, msg, sig));
-  }
-}
-BENCHMARK(BM_LamportVerify)->Unit(benchmark::kMicrosecond);
-
-void BM_MerkleSign(benchmark::State& state) {
-  // Forward-secure signing; tree rebuilt when exhausted (cost amortised
-  // in keygen, excluded here by pausing timing).
-  Drbg rng(to_bytes("bench-merkle"));
-  const auto height = static_cast<std::size_t>(state.range(0));
-  auto signer = std::make_unique<MerkleSigner>(MerkleSigner::create(rng, height).take());
-  const Bytes msg = to_bytes("evidence");
-  for (auto _ : state) {
-    if (signer->exhausted()) {
-      state.PauseTiming();
-      signer = std::make_unique<MerkleSigner>(MerkleSigner::create(rng, height).take());
-      state.ResumeTiming();
-    }
-    benchmark::DoNotOptimize(signer->sign(msg));
-  }
-}
-BENCHMARK(BM_MerkleSign)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
-
-void BM_MerkleVerify(benchmark::State& state) {
-  Drbg rng(to_bytes("bench-merkle-v"));
-  const auto height = static_cast<std::size_t>(state.range(0));
-  auto signer = MerkleSigner::create(rng, height).take();
-  const Bytes msg = to_bytes("evidence");
-  const Bytes sig = std::move(signer.sign(msg)).take();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(merkle_verify(signer.root(), height, msg, sig));
-  }
-  state.counters["sig_bytes"] = static_cast<double>(sig.size());
-}
-BENCHMARK(BM_MerkleVerify)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
-
-void BM_MerkleKeygen(benchmark::State& state) {
-  Drbg rng(to_bytes("bench-merkle-k"));
-  for (auto _ : state) {
-    auto signer = MerkleSigner::create(rng, static_cast<std::size_t>(state.range(0))).take();
-    benchmark::DoNotOptimize(signer.root());
-  }
-  state.counters["signatures_available"] =
-      static_cast<double>(1u << static_cast<unsigned>(state.range(0)));
-}
-BENCHMARK(BM_MerkleKeygen)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -54,6 +54,7 @@ Result<EvidenceToken> EvidenceToken::decode(BytesView b) {
   if (!tbs_bytes) return tbs_bytes.error();
   auto sig = outer.bytes();
   if (!sig) return sig.error();
+  if (!outer.at_end()) return Error::make("evidence.trailing_bytes", "after signature");
 
   BinaryReader r(tbs_bytes.value());
   EvidenceToken token;
@@ -77,6 +78,7 @@ Result<EvidenceToken> EvidenceToken::decode(BytesView b) {
   if (!crypto::digest_from_bytes(digest.value(), token.subject)) {
     return Error::make("evidence.bad_digest", "wrong digest length");
   }
+  if (!r.at_end()) return Error::make("evidence.trailing_bytes", "after subject");
   token.signature = sig.value();
   return token;
 }
@@ -166,7 +168,9 @@ std::vector<Status> EvidenceService::verify_batch(const std::vector<EvidenceChec
 
 Status EvidenceService::accept(const EvidenceToken& token, BytesView subject) {
   if (auto v = verify(token, subject); !v) return v;
-  states_->put(subject);
+  // verify() proved token.subject == state_digest(subject), so a held
+  // subject costs a probe here instead of a second hash.
+  if (!states_->contains(token.subject)) states_->put(subject);
   log_->append(token.run, log_kind(token.type), token.encode());
   return Status::ok_status();
 }

@@ -130,8 +130,8 @@ class EvidenceService {
   /// is countersigned by the TSA and the timestamp token logged alongside
   /// it (§3.5: evidence "should be time-stamped ... to support the
   /// assertion that the signature used to sign evidence was not
-  /// compromised at time of use"). Optional — parties using the
-  /// forward-secure Merkle scheme may omit it ([25]).
+  /// compromised at time of use"). Optional: a party without a TSA
+  /// issues tokens that carry no countersignature.
   void set_timestamp_authority(std::shared_ptr<TimestampHook> tsa) {
     tsa_ = std::move(tsa);
   }

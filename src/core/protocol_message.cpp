@@ -46,6 +46,7 @@ Result<ProtocolMessage> ProtocolMessage::decode(BytesView b) {
     if (!token) return token.error();
     msg.tokens.push_back(std::move(token).take());
   }
+  if (!r.at_end()) return Error::make("protocol.trailing_bytes", "after tokens");
   return msg;
 }
 

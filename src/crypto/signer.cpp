@@ -2,7 +2,6 @@
 
 #include "crypto/sha256.hpp"
 #include "obs/metrics.hpp"
-#include "util/serialize.hpp"
 
 namespace nonrep::crypto {
 
@@ -25,53 +24,20 @@ std::string to_string(SigAlgorithm alg) {
   switch (alg) {
     case SigAlgorithm::kRsa:
       return "rsa-pkcs1-sha256";
-    case SigAlgorithm::kMerkle:
-      return "merkle-lamport-sha256";
   }
   return "unknown";
 }
 
-Result<std::shared_ptr<MerkleSchemeSigner>> MerkleSchemeSigner::create(Drbg& rng,
-                                                                       std::size_t height) {
-  auto signer = MerkleSigner::create(rng, height);
-  if (!signer) return signer.error();
-  return std::make_shared<MerkleSchemeSigner>(std::move(signer).take());
-}
-
-Bytes MerkleSchemeSigner::public_key() const {
-  // root digest || tree height
-  BinaryWriter w;
-  w.bytes(digest_bytes(signer_.root()));
-  w.u32(static_cast<std::uint32_t>(signer_.height()));
-  return std::move(w).take();
-}
-
 bool verify(SigAlgorithm alg, BytesView public_key, BytesView msg, BytesView signature) {
-  switch (alg) {
-    case SigAlgorithm::kRsa: {
-      auto key = RsaPublicKey::decode(public_key);
-      if (!key) return false;
-      return rsa_verify(key.value(), msg, signature);
-    }
-    case SigAlgorithm::kMerkle: {
-      BinaryReader r(public_key);
-      auto root_bytes = r.bytes();
-      if (!root_bytes) return false;
-      auto height = r.u32();
-      if (!height || height.value() == 0 || height.value() > 12) return false;
-      Digest root{};
-      if (!digest_from_bytes(root_bytes.value(), root)) return false;
-      return merkle_verify(root, height.value(), msg, signature);
-    }
-  }
-  return false;
+  if (alg != SigAlgorithm::kRsa) return false;
+  auto key = RsaPublicKey::decode(public_key);
+  if (!key) return false;
+  return rsa_verify(key.value(), msg, signature);
 }
 
 bool VerifierCache::verify(SigAlgorithm alg, BytesView public_key, BytesView msg,
                            BytesView signature) {
-  if (alg != SigAlgorithm::kRsa) {
-    return crypto::verify(alg, public_key, msg, signature);
-  }
+  if (alg != SigAlgorithm::kRsa) return false;
   const Digest dg = Sha256::hash(public_key);
   std::string cache_key(reinterpret_cast<const char*>(dg.data()), dg.size());
   {

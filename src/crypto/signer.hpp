@@ -1,9 +1,12 @@
 // Scheme-agnostic signing interface.
 //
 // The evidence layer (core/evidence.hpp) never names a concrete algorithm:
-// the paper's framework is explicitly protocol- and mechanism-neutral
-// ("interceptors can implement different mechanisms", §3.1), so parties can
-// pick RSA or the forward-secure Merkle scheme per deployment descriptor.
+// the paper's framework is mechanism-neutral ("interceptors can implement
+// different mechanisms", §3.1), and that neutrality is this Signer seam.
+// RSA (RsaSigner) is the one scheme the library ships; another mechanism
+// plugs in by implementing Signer, as instrumented or fault-injecting
+// signers do. The algorithm tag travels in certificates and tokens, and
+// verify() rejects every tag but kRsa.
 #pragma once
 
 #include <memory>
@@ -11,7 +14,6 @@
 #include <unordered_map>
 
 #include "util/lock_discipline.hpp"
-#include "crypto/merkle.hpp"
 #include "crypto/rsa.hpp"
 #include "util/bytes.hpp"
 #include "util/result.hpp"
@@ -20,13 +22,13 @@ namespace nonrep::crypto {
 
 enum class SigAlgorithm : std::uint8_t {
   kRsa = 1,
-  kMerkle = 2,
 };
 
 std::string to_string(SigAlgorithm alg);
 
-/// A party's signing capability. Implementations may be stateful (the
-/// Merkle scheme consumes one-time keys), hence sign() is non-const.
+/// A party's signing capability. Implementations may be stateful (a
+/// stateful scheme or a wrapper that counts or injects faults), hence
+/// sign() is non-const.
 class Signer {
  public:
   virtual ~Signer() = default;
@@ -38,13 +40,14 @@ class Signer {
 };
 
 /// Verify `signature` over `msg` against a serialized public key.
-/// Returns false for malformed keys/signatures — never throws.
+/// Returns false for malformed keys/signatures and for any tag other than
+/// kRsa — never throws.
 bool verify(SigAlgorithm alg, BytesView public_key, BytesView msg, BytesView signature);
 
 /// Memoizes decoded RSA public keys (and their pre-built Montgomery
 /// contexts) keyed by a digest of the serialized key bytes, so steady-state
 /// verification skips the decode and context setup and performs exactly one
-/// Montgomery exponentiation. Non-RSA algorithms pass through unchanged.
+/// Montgomery exponentiation. Any tag other than kRsa returns false.
 ///
 /// Thread-safe: lookups take a shared lock and copy the decoded key out
 /// (the copy shares the immutable Montgomery context, built eagerly at
@@ -77,35 +80,6 @@ class RsaSigner final : public Signer {
 
  private:
   RsaPrivateKey key_;
-};
-
-class MerkleSchemeSigner final : public Signer {
- public:
-  /// Validated construction: "merkle.bad_height" outside [1, 12].
-  static Result<std::shared_ptr<MerkleSchemeSigner>> create(Drbg& rng, std::size_t height);
-
-  /// Wraps an already-built (hence already-validated) tree.
-  explicit MerkleSchemeSigner(MerkleSigner signer) : signer_(std::move(signer)) {}
-
-  SigAlgorithm algorithm() const noexcept override { return SigAlgorithm::kMerkle; }
-  Bytes public_key() const override;
-  /// Serialized: the scheme consumes one-time leaves, and two concurrent
-  /// handler frames of one party (a resumed yielded frame plus its strand
-  /// successor) must never sign with the same leaf — that would void the
-  /// one-time-signature security the evidence rests on.
-  Result<Bytes> sign(BytesView msg) override {
-    util::MutexLock lk(mu_);
-    return signer_.sign(msg);
-  }
-
-  std::size_t remaining() const {
-    util::MutexLock lk(mu_);
-    return signer_.capacity() - signer_.used();
-  }
-
- private:
-  mutable util::Mutex mu_{util::LockRank::kSignerState, "crypto.merkle_signer"};
-  MerkleSigner signer_ NONREP_GUARDED_BY(mu_);
 };
 
 }  // namespace nonrep::crypto

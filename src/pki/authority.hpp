@@ -28,7 +28,7 @@ class CertificateAuthority {
   const Status& status() const noexcept { return status_; }
 
   /// Issue a subject (or, if `is_ca`, an intermediate CA) certificate.
-  /// Fails when the backing signer fails, e.g. an exhausted one-time scheme.
+  /// Fails, with the signer's error, when the backing signer fails.
   Result<Certificate> issue(const PartyId& subject, crypto::SigAlgorithm alg,
                             BytesView public_key, TimeMs not_before, TimeMs not_after,
                             bool is_ca = false);

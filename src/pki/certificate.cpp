@@ -33,6 +33,10 @@ Result<Certificate> Certificate::decode(BytesView b) {
   if (!issuer_alg) return issuer_alg.error();
   auto sig = outer.bytes();
   if (!sig) return sig.error();
+  if (!outer.at_end()) return Error::make("pki.trailing_bytes", "after signature");
+  if (issuer_alg.value() != static_cast<std::uint8_t>(crypto::SigAlgorithm::kRsa)) {
+    return Error::make("pki.bad_algorithm", "issuer tag " + std::to_string(issuer_alg.value()));
+  }
 
   BinaryReader r(tbs_bytes.value());
   Certificate cert;
@@ -47,7 +51,10 @@ Result<Certificate> Certificate::decode(BytesView b) {
   cert.issuer = PartyId(issuer.value());
   auto alg = r.u8();
   if (!alg) return alg.error();
-  cert.algorithm = static_cast<crypto::SigAlgorithm>(alg.value());
+  if (alg.value() != static_cast<std::uint8_t>(crypto::SigAlgorithm::kRsa)) {
+    return Error::make("pki.bad_algorithm", "subject tag " + std::to_string(alg.value()));
+  }
+  cert.algorithm = crypto::SigAlgorithm::kRsa;
   auto key = r.bytes();
   if (!key) return key.error();
   cert.public_key = key.value();
@@ -59,9 +66,11 @@ Result<Certificate> Certificate::decode(BytesView b) {
   cert.not_after = na.value();
   auto ca = r.u8();
   if (!ca) return ca.error();
-  cert.is_ca = ca.value() != 0;
+  if (ca.value() > 1) return Error::make("pki.bad_is_ca", std::to_string(ca.value()));
+  cert.is_ca = ca.value() == 1;
+  if (!r.at_end()) return Error::make("pki.trailing_bytes", "after is_ca");
 
-  cert.issuer_algorithm = static_cast<crypto::SigAlgorithm>(issuer_alg.value());
+  cert.issuer_algorithm = crypto::SigAlgorithm::kRsa;
   cert.issuer_signature = sig.value();
   return cert;
 }

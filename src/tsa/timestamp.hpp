@@ -3,9 +3,8 @@
 // Evidence is time-stamped "for logging and to support the assertion that
 // the signature used to sign evidence was not compromised at time of use"
 // [26]. A TimestampAuthority countersigns (digest, time) pairs; relying
-// parties verify the token against the TSA's certificate. When parties use
-// the forward-secure Merkle scheme the third-party timestamp is optional
-// ([25]) — the evidence layer treats TSA tokens as an opt-in extension.
+// parties verify the token against the TSA's certificate. The evidence
+// layer treats TSA tokens as an opt-in extension.
 #pragma once
 
 #include <memory>

@@ -7,9 +7,11 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
 #include <string>
 
+#include "crypto/signer.hpp"
 #include "scenario/world.hpp"
 
 namespace nonrep::test {
@@ -34,6 +36,31 @@ inline std::string temp_dir(const std::string& tag) {
   std::filesystem::remove_all(dir);
   return dir.string();
 }
+
+/// An RsaSigner that fails every sign() after its first `budget` signatures
+/// with the error code kCode, so tests can drive the signer-failure paths
+/// (root self-sign, certificate issuance, evidence issue).
+class FailingSigner final : public crypto::Signer {
+ public:
+  static constexpr const char* kCode = "test.signer_failed";
+
+  FailingSigner(crypto::RsaPrivateKey key, std::size_t budget)
+      : inner_(std::move(key)), budget_(budget) {}
+
+  crypto::SigAlgorithm algorithm() const noexcept override { return inner_.algorithm(); }
+  Bytes public_key() const override { return inner_.public_key(); }
+  Result<Bytes> sign(BytesView msg) override {
+    if (signed_.fetch_add(1) >= budget_) {
+      return Error::make(kCode, "signature budget of " + std::to_string(budget_) + " spent");
+    }
+    return inner_.sign(msg);
+  }
+
+ private:
+  crypto::RsaSigner inner_;
+  const std::size_t budget_;
+  std::atomic<std::size_t> signed_{0};
+};
 
 using Party = scenario::Party;
 using TestWorld = scenario::World;

@@ -3,8 +3,6 @@
 #include "crypto/chacha20.hpp"
 #include "crypto/drbg.hpp"
 #include "crypto/hmac.hpp"
-#include "crypto/lamport.hpp"
-#include "crypto/merkle.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/signer.hpp"
@@ -259,125 +257,6 @@ TEST(Rsa, CrossKeyVerificationFails) {
   EXPECT_FALSE(rsa_verify(k2.pub, to_bytes("m"), sig));
 }
 
-// ---- Lamport ----
-
-TEST(Lamport, SignVerify) {
-  Drbg rng(to_bytes("lamport"));
-  const LamportKeyPair kp = lamport_generate(rng);
-  const Bytes sig = lamport_sign(kp.priv, to_bytes("one-time message"));
-  EXPECT_EQ(sig.size(), 256u * 32u);
-  EXPECT_TRUE(lamport_verify(kp.pub, to_bytes("one-time message"), sig));
-}
-
-TEST(Lamport, RejectsWrongMessage) {
-  Drbg rng(to_bytes("lamport2"));
-  const LamportKeyPair kp = lamport_generate(rng);
-  const Bytes sig = lamport_sign(kp.priv, to_bytes("msg-a"));
-  EXPECT_FALSE(lamport_verify(kp.pub, to_bytes("msg-b"), sig));
-}
-
-TEST(Lamport, RejectsTamperedSignature) {
-  Drbg rng(to_bytes("lamport3"));
-  const LamportKeyPair kp = lamport_generate(rng);
-  Bytes sig = lamport_sign(kp.priv, to_bytes("m"));
-  sig[100] ^= 0xff;
-  EXPECT_FALSE(lamport_verify(kp.pub, to_bytes("m"), sig));
-}
-
-TEST(Lamport, RejectsWrongLength) {
-  Drbg rng(to_bytes("lamport4"));
-  const LamportKeyPair kp = lamport_generate(rng);
-  EXPECT_FALSE(lamport_verify(kp.pub, to_bytes("m"), to_bytes("short")));
-}
-
-TEST(Lamport, FingerprintStable) {
-  Drbg rng(to_bytes("lamport5"));
-  const LamportKeyPair kp = lamport_generate(rng);
-  EXPECT_EQ(kp.pub.fingerprint(), kp.pub.fingerprint());
-}
-
-// ---- Merkle ----
-
-TEST(Merkle, SignVerifyAcrossAllLeaves) {
-  Drbg rng(to_bytes("merkle"));
-  auto signer = MerkleSigner::create(rng, 3).take();
-  EXPECT_EQ(signer.capacity(), 8u);
-  for (int i = 0; i < 8; ++i) {
-    const Bytes msg = to_bytes("msg-" + std::to_string(i));
-    auto sig = signer.sign(msg);
-    ASSERT_TRUE(sig.ok()) << i;
-    EXPECT_TRUE(merkle_verify(signer.root(), 3, msg, sig.value())) << i;
-  }
-}
-
-TEST(Merkle, RejectsBadHeight) {
-  // Height 0 (degenerate tree) and >12 (2^h Lamport keys materialized up
-  // front) are caller errors, reported instead of asserted.
-  Drbg rng(to_bytes("merkle-height"));
-  auto zero = MerkleSigner::create(rng, 0);
-  ASSERT_FALSE(zero.ok());
-  EXPECT_EQ(zero.error().code, "merkle.bad_height");
-  auto huge = MerkleSigner::create(rng, 13);
-  ASSERT_FALSE(huge.ok());
-  EXPECT_EQ(huge.error().code, "merkle.bad_height");
-  EXPECT_FALSE(MerkleSchemeSigner::create(rng, 0).ok());
-  EXPECT_TRUE(MerkleSchemeSigner::create(rng, 1).ok());
-}
-
-TEST(Merkle, ExhaustionReported) {
-  Drbg rng(to_bytes("merkle-exhaust"));
-  auto signer = MerkleSigner::create(rng, 1).take();
-  ASSERT_TRUE(signer.sign(to_bytes("a")).ok());
-  ASSERT_TRUE(signer.sign(to_bytes("b")).ok());
-  auto r = signer.sign(to_bytes("c"));
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error().code, "merkle.exhausted");
-  EXPECT_TRUE(signer.exhausted());
-}
-
-TEST(Merkle, RejectsWrongMessage) {
-  Drbg rng(to_bytes("merkle2"));
-  auto signer = MerkleSigner::create(rng, 2).take();
-  auto sig = signer.sign(to_bytes("m"));
-  EXPECT_FALSE(merkle_verify(signer.root(), 2, to_bytes("n"), sig.value()));
-}
-
-TEST(Merkle, RejectsWrongRoot) {
-  Drbg rng(to_bytes("merkle3"));
-  auto signer = MerkleSigner::create(rng, 2).take();
-  auto sig = signer.sign(to_bytes("m"));
-  Digest wrong = signer.root();
-  wrong[0] ^= 1;
-  EXPECT_FALSE(merkle_verify(wrong, 2, to_bytes("m"), sig.value()));
-}
-
-TEST(Merkle, RejectsTamperedAuthPath) {
-  Drbg rng(to_bytes("merkle4"));
-  auto signer = MerkleSigner::create(rng, 2).take();
-  auto sig = signer.sign(to_bytes("m"));
-  Bytes tampered = sig.value();
-  tampered[tampered.size() - 1] ^= 1;  // last auth path byte
-  EXPECT_FALSE(merkle_verify(signer.root(), 2, to_bytes("m"), tampered));
-}
-
-TEST(Merkle, RejectsWrongHeightParse) {
-  Drbg rng(to_bytes("merkle5"));
-  auto signer = MerkleSigner::create(rng, 2).take();
-  auto sig = signer.sign(to_bytes("m"));
-  EXPECT_FALSE(parse_merkle_signature(sig.value(), 3).has_value());
-  EXPECT_TRUE(parse_merkle_signature(sig.value(), 2).has_value());
-}
-
-TEST(Merkle, ForwardSecurityWipesUsedKeys) {
-  // After signing, the consumed leaf index advances monotonically.
-  Drbg rng(to_bytes("merkle6"));
-  auto signer = MerkleSigner::create(rng, 2).take();
-  (void)signer.sign(to_bytes("a"));
-  EXPECT_EQ(signer.used(), 1u);
-  (void)signer.sign(to_bytes("b"));
-  EXPECT_EQ(signer.used(), 2u);
-}
-
 // ---- Signer interface ----
 
 TEST(Signer, RsaThroughInterface) {
@@ -389,39 +268,34 @@ TEST(Signer, RsaThroughInterface) {
   EXPECT_FALSE(verify(SigAlgorithm::kRsa, signer.public_key(), to_bytes("n"), sig.value()));
 }
 
-TEST(Signer, MerkleThroughInterface) {
-  Drbg rng(to_bytes("signer-merkle"));
-  auto signer_sp = MerkleSchemeSigner::create(rng, 3).take();
-  auto& signer = *signer_sp;
-  auto sig = signer.sign(to_bytes("m"));
-  ASSERT_TRUE(sig.ok());
-  EXPECT_TRUE(
-      verify(SigAlgorithm::kMerkle, signer.public_key(), to_bytes("m"), sig.value()));
-  EXPECT_EQ(signer.remaining(), 7u);
-}
+// Any tag byte other than kRsa names no mechanism; it must be rejected cleanly.
+constexpr SigAlgorithm kUnknownAlgorithm = static_cast<SigAlgorithm>(2);
 
 TEST(Signer, VerifyRejectsAlgorithmConfusion) {
   Drbg rng(to_bytes("signer-confusion"));
   RsaSigner rsa(rsa_generate(rng, 512));
   auto sig = rsa.sign(to_bytes("m"));
-  // RSA signature presented as Merkle must fail cleanly, not crash.
-  EXPECT_FALSE(
-      verify(SigAlgorithm::kMerkle, rsa.public_key(), to_bytes("m"), sig.value()));
+  ASSERT_TRUE(sig.ok());
+  EXPECT_TRUE(verify(SigAlgorithm::kRsa, rsa.public_key(), to_bytes("m"), sig.value()));
+  EXPECT_FALSE(verify(kUnknownAlgorithm, rsa.public_key(), to_bytes("m"), sig.value()));
+  VerifierCache cache;
+  EXPECT_FALSE(cache.verify(kUnknownAlgorithm, rsa.public_key(), to_bytes("m"), sig.value()));
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_TRUE(cache.verify(SigAlgorithm::kRsa, rsa.public_key(), to_bytes("m"), sig.value()));
 }
 
 TEST(Signer, VerifyRejectsGarbageKey) {
   EXPECT_FALSE(verify(SigAlgorithm::kRsa, to_bytes("junk"), to_bytes("m"), to_bytes("s")));
-  EXPECT_FALSE(
-      verify(SigAlgorithm::kMerkle, to_bytes("junk"), to_bytes("m"), to_bytes("s")));
+  EXPECT_FALSE(verify(kUnknownAlgorithm, to_bytes("junk"), to_bytes("m"), to_bytes("s")));
 }
 
 TEST(Signer, AlgorithmNames) {
   EXPECT_EQ(to_string(SigAlgorithm::kRsa), "rsa-pkcs1-sha256");
-  EXPECT_EQ(to_string(SigAlgorithm::kMerkle), "merkle-lamport-sha256");
+  EXPECT_EQ(to_string(kUnknownAlgorithm), "unknown");
 }
 
-// Property sweep: evidence-sized random messages sign/verify under both
-// schemes and any single-byte flip of the message is rejected.
+// Property sweep: evidence-sized random messages sign/verify and any
+// single-byte flip of the message is rejected.
 class SignerProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(SignerProperty, TamperDetection) {

@@ -3,6 +3,7 @@
 #include "common.hpp"
 #include "core/evidence.hpp"
 #include "core/protocol_message.hpp"
+#include "obs/metrics.hpp"
 
 namespace nonrep::core {
 namespace {
@@ -42,6 +43,34 @@ TEST_F(EvidenceFixture, AcceptLogsReceivedToken) {
   ASSERT_TRUE(b->evidence->accept(token.value(), subject).ok());
   EXPECT_TRUE(b->log->find(RunId("r3"), "token.NRO-request").has_value());
   EXPECT_TRUE(b->states->contains(store::state_digest(subject)));
+}
+
+TEST_F(EvidenceFixture, AcceptOfHeldSubjectSkipsTheStatePut) {
+  // b's evidence service over a log that interns nothing, so every store
+  // put it makes is a state put.
+  auto states = std::make_shared<store::StateStore>();
+  EvidenceService service(
+      b->id, b->signer, b->credentials,
+      std::make_shared<store::EvidenceLog>(std::make_unique<store::MemoryLogBackend>(),
+                                           world.clock),
+      states, world.clock, 7);
+  const Bytes subject = to_bytes("request");
+  ASSERT_TRUE(service.issue(EvidenceType::kNroRequest, RunId("r"), subject).ok());
+  auto receipt = a->evidence->issue(EvidenceType::kNrrRequest, RunId("r"), subject);
+  ASSERT_TRUE(receipt.ok());
+
+  // The subject is already held: accepting the receipt probes the store
+  // instead of putting (and hashing) the subject again.
+  const auto& dedup_hits = obs::Registry::global().counter("store.dedup_hits");
+  const std::uint64_t before = dedup_hits.value();
+  ASSERT_TRUE(service.accept(receipt.value(), subject).ok());
+  EXPECT_EQ(dedup_hits.value(), before);
+  EXPECT_EQ(states->size(), 1u);
+
+  // A token that does not verify stores nothing.
+  const Bytes other = to_bytes("other");
+  EXPECT_FALSE(service.accept(receipt.value(), other).ok());
+  EXPECT_FALSE(states->contains(store::state_digest(other)));
 }
 
 TEST_F(EvidenceFixture, VerifyRejectsWrongSubject) {

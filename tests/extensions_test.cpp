@@ -1,6 +1,6 @@
 // Cross-module extension points: custom protocol registration (the
-// paper's "client controls its own participation", §4.2), forward-secure
-// signer exhaustion, evidence-log persistence across restarts, and
+// paper's "client controls its own participation", §4.2), signer failure
+// during evidence issue, evidence-log persistence across restarts, and
 // randomized multi-proposer convergence.
 #include <gtest/gtest.h>
 
@@ -58,14 +58,14 @@ TEST(HandlerFactory, CustomProtocolRegistration) {
   EXPECT_EQ(nonrep::to_string(result.payload), "negotiated");
 }
 
-TEST(ForwardSecureSigner, ExhaustionSurfacesCleanly) {
-  // A party using a tiny Merkle key runs out of one-time signatures; the
-  // protocol reports the failure instead of signing unverifiably.
+TEST(SignerFailure, IssueSurfacesCleanly) {
+  // A party whose signer starts failing after two signatures: evidence
+  // issue reports the failure instead of emitting an unsigned token.
   test::TestWorld world(99);
   auto& server = world.add_party("server");
 
-  crypto::Drbg rng(to_bytes("tiny-merkle"));
-  auto signer = crypto::MerkleSchemeSigner::create(rng, 1).take();  // 2 signatures
+  crypto::Drbg rng(to_bytes("failing-signer"));
+  auto signer = std::make_shared<test::FailingSigner>(crypto::rsa_generate(rng, 512), 2);
   auto cert = world.ca()
                   .issue(PartyId("org:tiny"), signer->algorithm(), signer->public_key(),
                          0, test::kFarFuture)
@@ -87,7 +87,7 @@ TEST(ForwardSecureSigner, ExhaustionSurfacesCleanly) {
   ASSERT_TRUE(t2.ok());
   auto t3 = evidence->issue(EvidenceType::kNroRequest, RunId("r3"), to_bytes("s"));
   ASSERT_FALSE(t3.ok());
-  EXPECT_EQ(t3.error().code, "merkle.exhausted");
+  EXPECT_EQ(t3.error().code, test::FailingSigner::kCode);
 }
 
 TEST(EvidencePersistence, LogSurvivesRestartAndContinuesChain) {

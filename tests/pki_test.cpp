@@ -3,10 +3,12 @@
 #include <atomic>
 #include <thread>
 
+#include "common.hpp"
 #include "crypto/drbg.hpp"
 #include "pki/authority.hpp"
 #include "pki/credential_manager.hpp"
 #include "pki/revocation.hpp"
+#include "util/serialize.hpp"
 
 namespace nonrep::pki {
 namespace {
@@ -34,6 +36,16 @@ struct PkiFixture : ::testing::Test {
   std::shared_ptr<RsaSigner> subject_signer;
   Certificate subject_cert;
   CredentialManager manager;
+
+  /// Certificate::encode's layout around `tbs`, with the issuer tag chosen
+  /// by the caller and subject_cert's signature.
+  Bytes framed(BytesView tbs, std::uint8_t issuer_alg) const {
+    BinaryWriter w;
+    w.bytes(tbs);
+    w.u8(issuer_alg);
+    w.bytes(subject_cert.issuer_signature);
+    return std::move(w).take();
+  }
 };
 
 TEST_F(PkiFixture, CertificateEncodeDecode) {
@@ -47,6 +59,50 @@ TEST_F(PkiFixture, CertificateEncodeDecode) {
 
 TEST_F(PkiFixture, DecodeRejectsGarbage) {
   EXPECT_FALSE(Certificate::decode(to_bytes("nonsense")).ok());
+}
+
+TEST_F(PkiFixture, DecodeIsCanonical) {
+  // An accepted certificate re-encodes byte-identically.
+  const Bytes enc = subject_cert.encode();
+  auto decoded = Certificate::decode(enc);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value().encode(), enc);
+
+  // One byte after the outer frame, or inside the signed part, is rejected.
+  Bytes appended = enc;
+  appended.push_back(0);
+  auto outer = Certificate::decode(appended);
+  ASSERT_FALSE(outer.ok());
+  EXPECT_EQ(outer.error().code, "pki.trailing_bytes");
+
+  const auto rsa = static_cast<std::uint8_t>(crypto::SigAlgorithm::kRsa);
+  ASSERT_EQ(framed(subject_cert.tbs(), rsa), enc);
+  Bytes padded_tbs = subject_cert.tbs();
+  padded_tbs.push_back(0);
+  auto inner = Certificate::decode(framed(padded_tbs, rsa));
+  ASSERT_FALSE(inner.ok());
+  EXPECT_EQ(inner.error().code, "pki.trailing_bytes");
+}
+
+TEST_F(PkiFixture, DecodeRejectsUnknownTagsAndFlags) {
+  const auto rsa = static_cast<std::uint8_t>(crypto::SigAlgorithm::kRsa);
+  auto issuer_tag = Certificate::decode(framed(subject_cert.tbs(), 7));
+  ASSERT_FALSE(issuer_tag.ok());
+  EXPECT_EQ(issuer_tag.error().code, "pki.bad_algorithm");
+
+  Certificate unknown_key = subject_cert;
+  unknown_key.algorithm = static_cast<crypto::SigAlgorithm>(7);
+  auto subject_tag = Certificate::decode(framed(unknown_key.tbs(), rsa));
+  ASSERT_FALSE(subject_tag.ok());
+  EXPECT_EQ(subject_tag.error().code, "pki.bad_algorithm");
+
+  // is_ca is the last tbs byte; only 0 and 1 are encodings of a bool.
+  Bytes flag_tbs = subject_cert.tbs();
+  ASSERT_EQ(flag_tbs.back(), 0);
+  flag_tbs.back() = 2;
+  auto flag = Certificate::decode(framed(flag_tbs, rsa));
+  ASSERT_FALSE(flag.ok());
+  EXPECT_EQ(flag.error().code, "pki.bad_is_ca");
 }
 
 TEST_F(PkiFixture, RootIsSelfSignedCa) {
@@ -221,51 +277,33 @@ TEST_F(PkiFixture, SerialNumbersUnique) {
   EXPECT_NE(c1.serial, c2.serial);
 }
 
-TEST_F(PkiFixture, MerkleCertifiedParty) {
-  Drbg mrng(to_bytes("merkle-party"));
-  auto msigner = crypto::MerkleSchemeSigner::create(mrng, 3).take();
-  Certificate mcert = ca->issue(PartyId("org:merkle"), msigner->algorithm(),
-                                msigner->public_key(), 0, kYear)
-                          .take();
-  manager.add_certificate(mcert);
-  ASSERT_TRUE(manager.verify_chain(mcert, 100).ok());
-  auto sig = msigner->sign(to_bytes("hash-based evidence"));
-  ASSERT_TRUE(sig.ok());
-  EXPECT_TRUE(manager
-                  .verify_signature(PartyId("org:merkle"), to_bytes("hash-based evidence"),
-                                    sig.value(), 100)
-                  .ok());
-}
-
 TEST_F(PkiFixture, RootSelfSignStatusOk) {
   EXPECT_TRUE(ca->status().ok());
 }
 
 TEST_F(PkiFixture, IssueReportsSignerFailure) {
-  // A height-1 Merkle signer holds two one-time keys: the root CA's
-  // self-signature consumes one, the first issuance the other. The second
-  // issuance must surface the signer failure instead of asserting.
-  Drbg mrng(to_bytes("exhaustible-ca"));
-  auto msigner = crypto::MerkleSchemeSigner::create(mrng, 1).take();
-  CertificateAuthority mca(PartyId("ca:merkle"), msigner, 0, kYear);
-  EXPECT_TRUE(mca.status().ok());
-  auto first = mca.issue(PartyId("org:one"), subject_signer->algorithm(),
+  // A signer with a budget of two signatures: the root CA's self-signature
+  // spends one, the first issuance the other. The second issuance must
+  // surface the signer failure instead of asserting.
+  auto failing = std::make_shared<test::FailingSigner>(crypto::rsa_generate(rng, 512), 2);
+  CertificateAuthority fca(PartyId("ca:failing"), failing, 0, kYear);
+  EXPECT_TRUE(fca.status().ok());
+  auto first = fca.issue(PartyId("org:one"), subject_signer->algorithm(),
                          subject_signer->public_key(), 0, kYear);
   ASSERT_TRUE(first.ok());
-  auto second = mca.issue(PartyId("org:two"), subject_signer->algorithm(),
+  auto second = fca.issue(PartyId("org:two"), subject_signer->algorithm(),
                           subject_signer->public_key(), 0, kYear);
   ASSERT_FALSE(second.ok());
-  EXPECT_EQ(second.error().code, "merkle.exhausted");
+  EXPECT_EQ(second.error().code, test::FailingSigner::kCode);
 }
 
 TEST_F(PkiFixture, RootSelfSignFailureNotTrusted) {
-  // Exhaust a Merkle signer, then build a root CA from it: the self-signed
-  // certificate carries an empty signature and must be rejected as a root.
-  Drbg mrng(to_bytes("dead-root"));
-  auto msigner = crypto::MerkleSchemeSigner::create(mrng, 1).take();
-  for (int i = 0; i < 2; ++i) (void)msigner->sign(to_bytes("burn"));
-  CertificateAuthority dead(PartyId("ca:dead"), msigner, 0, kYear);
-  EXPECT_FALSE(dead.status().ok());
+  // A root CA whose signer fails its self-signature carries an empty
+  // signature; the certificate must be rejected as a root.
+  auto failing = std::make_shared<test::FailingSigner>(crypto::rsa_generate(rng, 512), 0);
+  CertificateAuthority dead(PartyId("ca:dead"), failing, 0, kYear);
+  ASSERT_FALSE(dead.status().ok());
+  EXPECT_EQ(dead.status().error().code, test::FailingSigner::kCode);
   CredentialManager m2;
   auto status = m2.add_trusted_root(dead.certificate());
   ASSERT_FALSE(status.ok());

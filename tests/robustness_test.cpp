@@ -8,6 +8,7 @@
 #include "core/nr_interceptor.hpp"
 #include "core/sharing.hpp"
 #include "crypto/drbg.hpp"
+#include "util/serialize.hpp"
 
 namespace nonrep::core {
 namespace {
@@ -149,6 +150,114 @@ TEST_P(WireMutation, MutatedStepOneNeverBreaksServer) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireMutation, ::testing::Range(0, 8));
+
+// Canonical decoding: a signature binds bytes, so each value must have
+// exactly one accepted encoding. Trailing bytes after the outer frame or
+// inside the signed part are rejected, for a token on its own and for one
+// nested in a protocol message.
+TEST_F(RobustnessFixture, DecodersRejectTrailingBytes) {
+  auto token = client->evidence->issue(EvidenceType::kNroRequest,
+                                       client->evidence->new_run(), to_bytes("subject"));
+  ASSERT_TRUE(token.ok());
+  const Bytes enc = token.value().encode();
+  auto plain = EvidenceToken::decode(enc);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(plain.value().encode(), enc);
+
+  Bytes appended = enc;
+  appended.push_back(0);
+  auto outer = EvidenceToken::decode(appended);
+  ASSERT_FALSE(outer.ok());
+  EXPECT_EQ(outer.error().code, "evidence.trailing_bytes");
+
+  Bytes padded_tbs = token.value().tbs();
+  padded_tbs.push_back(0);
+  BinaryWriter tw;
+  tw.bytes(padded_tbs);
+  tw.bytes(token.value().signature);
+  auto inner = EvidenceToken::decode(tw.data());
+  ASSERT_FALSE(inner.ok());
+  EXPECT_EQ(inner.error().code, "evidence.trailing_bytes");
+
+  ProtocolMessage msg;
+  msg.protocol = kDirectInvocationProtocol;
+  msg.run = token.value().run;
+  msg.step = 1;
+  msg.sender = client->id;
+  msg.body = to_bytes("body");
+  msg.tokens.push_back(token.value());
+  Bytes menc = msg.encode();
+  menc.push_back(0);
+  auto trailing = ProtocolMessage::decode(menc);
+  ASSERT_FALSE(trailing.ok());
+  EXPECT_EQ(trailing.error().code, "protocol.trailing_bytes");
+
+  BinaryWriter mw;  // ProtocolMessage::encode's layout around a padded token
+  mw.str(msg.protocol);
+  mw.str(msg.run.str());
+  mw.u32(msg.step);
+  mw.str(msg.sender.str());
+  mw.bytes(msg.body);
+  mw.u32(1);
+  mw.bytes(appended);
+  auto nested = ProtocolMessage::decode(mw.data());
+  ASSERT_FALSE(nested.ok());
+  EXPECT_EQ(nested.error().code, "evidence.trailing_bytes");
+}
+
+// Structure-blind mutation of a valid message (byte flips, insertions and
+// deletions): whatever ProtocolMessage::decode still accepts must re-encode
+// to exactly the mutant's bytes, and so must every token inside it.
+class CanonicalDecode : public ::testing::TestWithParam<int> {};
+
+TEST_P(CanonicalDecode, AcceptedMutantsReencodeByteIdentically) {
+  test::TestWorld world(static_cast<std::uint64_t>(GetParam()) + 900);
+  auto& client = world.add_party("client");
+  ProtocolMessage msg;
+  msg.protocol = kDirectInvocationProtocol;
+  msg.run = client.evidence->new_run();
+  msg.step = 1;
+  msg.sender = client.id;
+  msg.body = to_bytes("canonical-body");
+  for (auto type : {EvidenceType::kNroRequest, EvidenceType::kNrrResponse}) {
+    auto token = client.evidence->issue(type, msg.run, to_bytes("subject"));
+    ASSERT_TRUE(token.ok());
+    msg.tokens.push_back(std::move(token).take());
+  }
+  const Bytes valid = msg.encode();
+
+  crypto::Drbg rng(to_bytes("canonical-" + std::to_string(GetParam())));
+  std::size_t accepted = 0;
+  for (int i = 0; i < 300; ++i) {
+    Bytes mutant = valid;
+    const std::size_t at = rng.uniform(mutant.size() + 1);
+    switch (i % 3) {
+      case 0:
+        mutant[at % mutant.size()] ^= static_cast<std::uint8_t>(1 + rng.uniform(255));
+        break;
+      case 1:
+        mutant.insert(mutant.begin() + static_cast<std::ptrdiff_t>(at),
+                      static_cast<std::uint8_t>(rng.uniform(256)));
+        break;
+      default:
+        mutant.erase(mutant.begin() + static_cast<std::ptrdiff_t>(at % mutant.size()));
+        break;
+    }
+    auto decoded = ProtocolMessage::decode(mutant);
+    if (!decoded.ok()) continue;
+    ++accepted;
+    EXPECT_EQ(decoded.value().encode(), mutant) << "mutant " << i;
+  }
+  // A byte appended to a valid message is always rejected.
+  Bytes appended = valid;
+  appended.push_back(static_cast<std::uint8_t>(GetParam()));
+  EXPECT_FALSE(ProtocolMessage::decode(appended).ok());
+  // Flips in strings, the body and signatures keep the framing intact, so
+  // some mutants must decode; this keeps the sweep from going vacuous.
+  EXPECT_GT(accepted, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CanonicalDecode, ::testing::Range(0, 4));
 
 // Replayed step-1 messages: at-most-once must hold even against replays.
 TEST_F(RobustnessFixture, ReplayedRequestNotReExecuted) {
